@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-interproc build test race bench-smoke bench-replay bench-replay-smoke bench-server bench-server-smoke bench-qlog bench-qlog-smoke bench-trace bench-trace-smoke bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
+.PHONY: check vet lint lint-interproc build test race bench-smoke bench-e2e bench-ledger bench-replay bench-replay-smoke bench-server bench-server-smoke bench-qlog bench-qlog-smoke bench-trace bench-trace-smoke bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
 
 check: vet lint-interproc build test bench-smoke bench-replay-smoke bench-server-smoke bench-qlog-smoke bench-trace-smoke obs-smoke qlog-smoke sim-smoke fuzz-smoke
 
@@ -45,9 +45,26 @@ race:
 
 # A fast smoke run of the meta-DNS-server hot path: enough iterations to
 # exercise the cached, miss, and many-zone routes without benchmarking
-# noise dominating CI time.
+# noise dominating CI time. The EngineRespond benchmarks repeat one
+# question, so all but EngineRespondMiss measure cache hits;
+# ShardRespondMiss (a new name every iteration, inserted into a full
+# cache) and LookupNXDomainDNSSEC are the miss path.
 bench-smoke:
-	$(GO) test -run XXX -bench=EngineRespond -benchtime=100x ./internal/authserver/
+	$(GO) test -run XXX -bench='EngineRespond|ShardRespondMiss' -benchtime=100x ./internal/authserver/
+	$(GO) test -run XXX -bench='LookupNXDomainDNSSEC' -benchtime=100x ./internal/zone/
+
+# The repo's benchmark (BENCHMARK.json): closed-loop goodput through the
+# shipped ldplayer→metadns pipeline on four workloads, built and run the
+# way the driver does. See internal/benchkit/README.md.
+bench-e2e:
+	bash cmd/ldbench/run.sh
+
+# One workload plus a traced repetition and the per-layer cost ledger —
+# the rows a performance change names beforehand.
+# `make bench-ledger WORKLOAD=broot-udp-closed`.
+WORKLOAD ?= broot-udp-closed
+bench-ledger:
+	bash cmd/ldbench/run.sh -trace 1 -workload $(WORKLOAD)
 
 # End-to-end observability check: a live meta-DNS-server and a fast-mode
 # replay share one registry; /metrics must expose non-zero series from
@@ -91,10 +108,13 @@ sim-smoke:
 # Short fuzz budget over the DNS wire codec and the LDTRC02 block trace
 # codec: hostile decode must never panic, decode→encode must reach a
 # byte-identical fixed point, and arbitrary block files must error
-# cleanly through the full open/index/parallel-decode path.
+# cleanly through the full open/index/parallel-decode path. The zone
+# target checks the compiled-index Lookup against the map-walking
+# reference on arbitrary (qname, qtype, DO).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzMessageUnpack$$' -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run XXX -fuzz 'FuzzPackUnpackRoundTrip$$' -fuzztime 5s ./internal/dnswire/
+	$(GO) test -run XXX -fuzz 'FuzzLookupDifferential$$' -fuzztime 5s ./internal/zone/
 	$(GO) test -run XXX -fuzz 'FuzzBlockRoundTrip$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockDecode$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockHeader$$' -fuzztime 5s ./internal/trace/

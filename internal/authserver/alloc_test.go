@@ -1,6 +1,8 @@
 package authserver
 
 import (
+	"bytes"
+	"net/netip"
 	"testing"
 
 	"ldplayer/internal/dnswire"
@@ -90,5 +92,154 @@ func TestRespondCachedAllocsEDNS(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("cached EDNS Respond allocs/op = %.2f, want ≤ 1", allocs)
+	}
+}
+
+// missQuery packs one question for the miss-path guards; do < 0 sends no
+// OPT record, 0 an OPT with DO clear, 1 with DO set.
+func missQuery(t testing.TB, name string, qtype dnswire.Type, do int) []byte {
+	t.Helper()
+	q := dnswire.NewQuery(7, name, qtype)
+	if do >= 0 {
+		q.Edns = &dnswire.EDNS{UDPSize: 4096, DO: do == 1}
+	}
+	wire, err := q.Pack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// TestShardRespondMissAllocs pins the cache-miss path — unpack, zone
+// lookup, pack — at the one allocation it is left with, the decoded
+// qname string, for each outcome B-Root replay is made of. The response
+// cache is off, so every call takes the path; the guards above and the
+// EngineRespond benchmarks repeat one question and only ever see hits.
+func TestShardRespondMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; alloc counts are meaningless")
+	}
+	e := hierarchyEngine(t)
+	e.SetResponseCacheCap(0)
+	sh := e.NewShard()
+	slab := make([]byte, 0, 4096)
+	for _, c := range []struct {
+		outcome string
+		name    string
+		qtype   dnswire.Type
+		src     netip.Addr
+		rcode   dnswire.Rcode
+	}{
+		{"NXDOMAIN", "nope.example.com.", dnswire.TypeA, exNSAddr, dnswire.RcodeNXDomain},
+		{"referral", "www.example.com.", dnswire.TypeA, rootNSAddr, dnswire.RcodeNoError},
+		{"NODATA", "www.example.com.", dnswire.TypeMX, exNSAddr, dnswire.RcodeNoError},
+		{"answer", "www.example.com.", dnswire.TypeA, exNSAddr, dnswire.RcodeNoError},
+	} {
+		for do := -1; do <= 1; do++ {
+			wire := missQuery(t, c.name, c.qtype, do)
+			var out []byte
+			allocs := testing.AllocsPerRun(500, func() {
+				var err error
+				if out, err = sh.AppendRespond(slab[:0], wire, c.src, UDP); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if len(out) < 12 || dnswire.Rcode(out[3]&0xF) != c.rcode {
+				t.Errorf("%s do=%d: response %x, want rcode %v", c.outcome, do, out, c.rcode)
+			}
+			if allocs > 1 {
+				t.Errorf("%s do=%d: miss-path allocs/query = %.2f, want ≤ 1 (the qname)", c.outcome, do, allocs)
+			}
+		}
+	}
+	if cs := e.CacheStats(); cs.Hits != 0 || cs.Entries != 0 {
+		t.Errorf("cache disabled, yet stats = %+v", cs)
+	}
+}
+
+// junkQuery is a root-zone query whose single 8-hex-digit label set
+// rewrites in place, so a stream of them never repeats a question — the
+// junk-name share of B-Root traffic that no response cache can absorb.
+type junkQuery struct{ wire []byte }
+
+func newJunkQuery(t testing.TB) junkQuery {
+	return junkQuery{wire: missQuery(t, "00000000.", dnswire.TypeA, 1)}
+}
+
+func (j junkQuery) set(i int) []byte {
+	const hex = "0123456789abcdef"
+	for d := 0; d < 8; d++ {
+		j.wire[13+d] = hex[(i>>(4*d))&0xF]
+	}
+	return j.wire
+}
+
+// TestShardRespondMissInsertAllocs pins a miss with the cache on: the
+// miss path's qname plus the insert's one string (key and image
+// together), plus the map's own growth amortized over the inserts.
+func TestShardRespondMissInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; alloc counts are meaningless")
+	}
+	e := hierarchyEngine(t)
+	sh := e.NewShard()
+	slab := make([]byte, 0, 4096)
+	junk := newJunkQuery(t)
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		i++
+		if _, err := sh.AppendRespond(slab[:0], junk.set(i), rootNSAddr, UDP); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("miss+insert allocs/query = %.2f, want ≤ 3", allocs)
+	}
+	if cs := e.CacheStats(); cs.Hits != 0 || cs.Entries != int64(i) {
+		t.Errorf("after %d distinct questions: cache stats = %+v", i, cs)
+	}
+}
+
+// TestCacheHitIdenticalToMiss asks each question three times: of an
+// engine with the cache off, and twice (miss, then hit) of one with it
+// on. All three responses must be the same bytes once the ID is masked —
+// the hit path patches a stored image, the miss path builds from the
+// zone, and nothing may tell them apart. (Names are lowercase: a miss
+// echoes the question lowercased where a hit echoes the client's 0x20
+// case, a difference older than this test and not its subject.)
+func TestCacheHitIdenticalToMiss(t *testing.T) {
+	cold, warm := hierarchyEngine(t), hierarchyEngine(t)
+	cold.SetResponseCacheCap(0)
+	for _, src := range []netip.Addr{rootNSAddr, comNSAddr, exNSAddr, clientAddr} {
+		for _, name := range []string{".", "com.", "example.com.", "www.example.com.",
+			"ns1.example.com.", "nope.example.com.", "a.b.nope.example.com.", "junk.", "a.gtld-servers.net."} {
+			for _, qtype := range []dnswire.Type{dnswire.TypeA, dnswire.TypeNS, dnswire.TypeSOA, dnswire.TypeDS, dnswire.TypeMX, dnswire.TypeANY} {
+				for do := -1; do <= 1; do++ {
+					for _, tr := range []Transport{UDP, TCP} {
+						wire := missQuery(t, name, qtype, do)
+						var got [3][]byte
+						for i, e := range []*Engine{cold, warm, warm} {
+							wire[0], wire[1] = byte(i+1), byte(i+1)
+							out, err := e.Respond(wire, src, tr)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if out[0] != wire[0] || out[1] != wire[1] {
+								t.Fatalf("%s %s: response ID %x, query ID %x", name, qtype, out[:2], wire[:2])
+							}
+							out[0], out[1] = 0, 0
+							got[i] = out
+						}
+						if !bytes.Equal(got[0], got[1]) || !bytes.Equal(got[1], got[2]) {
+							t.Fatalf("%s %s do=%d %v from %v:\n cache off %x\n miss      %x\n hit       %x",
+								name, qtype, do, tr, src, got[0], got[1], got[2])
+						}
+					}
+				}
+			}
+		}
+	}
+	if cs := warm.CacheStats(); cs.Hits == 0 || cs.Hits != cs.Misses {
+		t.Errorf("cache stats = %+v, want every question one miss then one hit", cs)
 	}
 }

@@ -216,3 +216,32 @@ func BenchmarkEngineRespondManyZones(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkShardRespondMiss measures what most of a B-Root replay costs
+// the server: a question never seen before takes the whole miss path —
+// unpack, zone lookup (NXDOMAIN with DO from the root), pack — and its
+// response is inserted into a shard cache that is already full. Every
+// iteration asks a new name, so unlike the EngineRespond benchmarks above
+// (one question repeated: hits) this one cannot hit.
+func BenchmarkShardRespondMiss(b *testing.B) {
+	e := benchEngine(b)
+	sh := e.NewShard()
+	slab := make([]byte, 0, 4096)
+	junk := newJunkQuery(b)
+	for i := 0; i < DefaultResponseCacheCap; i++ { // fill, so the timed inserts evict
+		if _, err := sh.AppendRespond(slab[:0], junk.set(-1-i), rootNSAddr, UDP); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sh.AppendRespond(slab[:0], junk.set(i), rootNSAddr, UDP); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if cs := e.CacheStats(); cs.Hits != 0 {
+		b.Fatalf("cache hits = %d on a stream of distinct questions", cs.Hits)
+	}
+}

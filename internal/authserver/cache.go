@@ -124,14 +124,31 @@ func buildCacheKey(sc *scratch, query []byte, transport Transport) (int, bool) {
 	return qnameLen, true
 }
 
-// cacheEntry is one packed response. wire holds the full encoding with a
-// zeroed ID and the canonical (lowercase) question; truncated/refused/
-// rcode replay the stat accounting the original slow-path build performed.
+// cacheEntry is one packed response, stored in the cache maps by value.
+// wire holds the full encoding with a zeroed ID and the canonical
+// (lowercase) question; truncated/refused/rcode replay the stat accounting
+// the original slow-path build performed.
 type cacheEntry struct {
-	wire      []byte
+	wire      string
 	truncated bool
 	refused   bool
 	rcode     dnswire.Rcode
+}
+
+// newCacheEntry builds the map key (from sc.key) and the entry for one
+// insert. Key and response image share one string — they live and die
+// together — so an insert costs that allocation and, now and then, map
+// growth.
+func newCacheEntry(sc *scratch, resp []byte, meta respMeta) (string, cacheEntry) {
+	n := len(sc.key)
+	buf := sc.buf[:0]
+	buf = append(buf, sc.key...)
+	buf = append(buf, resp...)
+	buf[n], buf[n+1] = 0, 0 // hits patch the ID in
+	sc.buf = buf[:0]
+	//ldlint:ignore noallocprop the documented per-miss allocation: the cache keeps a private copy of the key and the response image
+	img := string(buf)
+	return img[:n], cacheEntry{wire: img[n:], truncated: meta.truncated, refused: meta.refused, rcode: meta.rcode}
 }
 
 // respCache is a bounded map from cache key to packed response. Reads
@@ -139,25 +156,25 @@ type cacheEntry struct {
 // seen, so the write lock is effectively never contended at steady state.
 type respCache struct {
 	mu sync.RWMutex
-	m  map[string]*cacheEntry
+	m  map[string]cacheEntry
 
 	// evictions counts entries displaced at capacity (observability).
 	evictions atomic.Int64
 }
 
 func newRespCache() *respCache {
-	return &respCache{m: make(map[string]*cacheEntry)}
+	return &respCache{m: make(map[string]cacheEntry)}
 }
 
-// get returns the cached entry for key, or nil on miss. Entries are
-// immutable once stored, so the caller may read ent.wire lock-free.
+// get returns the cached entry for key; ok is false on a miss. Entries
+// are immutable, so the copy is the caller's to read lock-free.
 //
 //ldlint:noalloc
-func (c *respCache) get(key []byte) *cacheEntry {
+func (c *respCache) get(key []byte) (ent cacheEntry, ok bool) {
 	c.mu.RLock()
-	ent := c.m[string(key)]
+	ent, ok = c.m[string(key)]
 	c.mu.RUnlock()
-	return ent
+	return ent, ok
 }
 
 // appendCached appends ent's packed response to dst, patched with query's
@@ -168,7 +185,7 @@ func (c *respCache) get(key []byte) *cacheEntry {
 // nothing at steady state.
 //
 //ldlint:noalloc
-func appendCached(st *coreStats, dst []byte, ent *cacheEntry, query []byte, qnameLen int) []byte {
+func appendCached(st *coreStats, dst []byte, ent cacheEntry, query []byte, qnameLen int) []byte {
 	base := len(dst)
 	dst = append(dst, ent.wire...)
 	out := dst[base:]
@@ -187,30 +204,32 @@ func appendCached(st *coreStats, dst []byte, ent *cacheEntry, query []byte, qnam
 	return dst
 }
 
-// put stores a copy of out under key, evicting an arbitrary entry when
-// the cache is at capacity. The stored image gets a zeroed ID (hits
-// always overwrite it) but is otherwise byte-identical to what the slow
-// path returned.
-func (c *respCache) put(key, out []byte, qnameLen int, meta respMeta, capacity int) {
-	if capacity <= 0 || len(out) < 12+qnameLen+4 {
-		return
-	}
-	//ldlint:ignore noallocprop the documented per-miss allocation: the cache keeps a private copy of the response image
-	wire := make([]byte, len(out))
-	copy(wire, out)
-	wire[0], wire[1] = 0, 0
-	ent := &cacheEntry{wire: wire, truncated: meta.truncated, refused: meta.refused, rcode: meta.rcode}
-	c.mu.Lock()
-	if _, exists := c.m[string(key)]; !exists {
-		for len(c.m) >= capacity {
-			for k := range c.m {
-				delete(c.m, k)
+// cacheInsert stores ent under key in m, first evicting arbitrary entries
+// while m is at capacity, and returns how many it evicted.
+func cacheInsert(m map[string]cacheEntry, key string, ent cacheEntry, capacity int) (evicted int64) {
+	if _, exists := m[key]; !exists {
+		for len(m) >= capacity {
+			for k := range m {
+				delete(m, k)
 				break
 			}
-			c.evictions.Add(1)
+			evicted++
 		}
 	}
-	c.m[string(key)] = ent
+	m[key] = ent
+	return evicted
+}
+
+// put stores a copy of out under the scratch key. The stored image gets a
+// zeroed ID (hits always overwrite it) but is otherwise byte-identical to
+// what the slow path returned.
+func (c *respCache) put(sc *scratch, out []byte, meta respMeta, capacity int) {
+	if capacity <= 0 || len(out) < 12+sc.qnameLen+4 {
+		return
+	}
+	key, ent := newCacheEntry(sc, out, meta)
+	c.mu.Lock()
+	c.evictions.Add(cacheInsert(c.m, key, ent, capacity))
 	c.mu.Unlock()
 }
 
@@ -224,6 +243,6 @@ func (c *respCache) len() int {
 // clear drops every entry.
 func (c *respCache) clear() {
 	c.mu.Lock()
-	c.m = make(map[string]*cacheEntry)
+	c.m = make(map[string]cacheEntry)
 	c.mu.Unlock()
 }

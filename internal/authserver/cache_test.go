@@ -283,3 +283,36 @@ func TestConcurrentRespondWithRouting(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// TestNonUTF8QnameEchoed: a qname is octets, not text. A label holding
+// bytes that are not UTF-8 used to be widened to U+FFFD on decode, so the
+// miss path echoed a longer question than it was asked and a later cache
+// hit patched the client's question over the wrong span. Miss and hit
+// must both echo the question verbatim.
+func TestNonUTF8QnameEchoed(t *testing.T) {
+	e := hierarchyEngine(t)
+	wire := []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+		3, 0xFF, 0xC0, 'x', 7, 'e', 'x', 'a', 'm', 'p', 'l', 'e', 3, 'c', 'o', 'm', 0,
+		0, 1, 0, 1}
+	question := wire[12:]
+	for i, path := range []string{"miss", "hit"} {
+		wire[1] = byte(i + 1)
+		out, err := e.Respond(wire, exNSAddr, UDP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) < len(wire) || !bytes.Equal(out[12:12+len(question)], question) {
+			t.Fatalf("%s: question echoed as %x, asked %x", path, out[12:], question)
+		}
+		var resp dnswire.Message
+		if err := resp.Unpack(out); err != nil {
+			t.Fatalf("%s: response does not decode: %v", path, err)
+		}
+		if resp.Header.ID != uint16(i+1) || resp.Header.Rcode != dnswire.RcodeNXDomain {
+			t.Errorf("%s: id %d rcode %v", path, resp.Header.ID, resp.Header.Rcode)
+		}
+	}
+	if cs := e.CacheStats(); cs.Hits != 1 || cs.Misses != 1 {
+		t.Errorf("cache stats = %+v, want 1 miss then 1 hit", cs)
+	}
+}

@@ -16,7 +16,10 @@
 // (O(qname labels), not O(zones)), and fully-encoded responses are kept
 // in a per-view packed-response cache so repeated questions are answered
 // by patching two ID bytes and the echoed question into a copy of the
-// cached wire image.
+// cached wire image. A question the cache has not seen takes the miss
+// path — unpack, zone lookup over the zone's compiled index, pack, cache
+// insert — which allocates the decoded qname and the cache's copy of the
+// response, and more only for wildcard and CNAME answers.
 package authserver
 
 import (
@@ -68,7 +71,8 @@ type View struct {
 // is registered: the origin suffix map for O(labels) zone selection and
 // the packed-response cache. Zones are immutable after load (§2.3 zone
 // files are fixed artifacts for a run), so neither structure ever needs
-// invalidation.
+// invalidation. Registering a view also compiles its zones' lookup
+// indexes, so serving never pays for that.
 type viewRoute struct {
 	view *View
 	// zones maps canonical zone origin → zone.
@@ -92,6 +96,7 @@ func newViewRoute(v *View) *viewRoute {
 		if _, dup := vr.zones[z.Origin]; !dup {
 			vr.zones[z.Origin] = z
 		}
+		z.Compile()
 	}
 	return vr
 }
@@ -523,7 +528,7 @@ func (e *Engine) Respond(query []byte, src netip.Addr, transport Transport) ([]b
 			qlen = qnameLen
 			sc.qnameLen = qnameLen
 			setSpanQName(sp, query[12:12+qnameLen])
-			if ent := vr.cache.get(sc.key); ent != nil {
+			if ent, ok := vr.cache.get(sc.key); ok {
 				e.cacheHits.Add(1)
 				out := appendCached(&e.coreStats, nil, ent, query, qnameLen)
 				if sp != nil {
@@ -543,7 +548,7 @@ func (e *Engine) Respond(query []byte, src netip.Addr, transport Transport) ([]b
 
 	out, meta, err := e.respondSlow(&e.coreStats, sc, nil, query, vr, transport, sp)
 	if err == nil && cacheable && meta.cacheable {
-		vr.cache.put(sc.key, out, sc.qnameLen, meta, int(e.cacheCap.Load()))
+		vr.cache.put(sc, out, meta, int(e.cacheCap.Load()))
 	}
 	if sp != nil {
 		sp.Rcode = int(meta.rcode)
@@ -607,7 +612,6 @@ func setSpanQName(sp *obs.Span, wire []byte) {
 //ldlint:noalloc
 func (e *Engine) respondSlow(st *coreStats, sc *scratch, dst, query []byte, vr *viewRoute, transport Transport, sp *obs.Span) ([]byte, respMeta, error) {
 	q := &sc.q
-	//ldlint:ignore noallocprop cache-miss decode boundary: Unpack amortizes into reused scratch; construct rules stop here and BenchmarkEngineRespond pins the measured 0 allocs/op
 	if err := q.Unpack(query); err != nil {
 		if len(query) >= 12 {
 			st.formErrs.Add(1)
@@ -663,7 +667,6 @@ func (e *Engine) respondSlow(st *coreStats, sc *scratch, dst, query []byte, vr *
 	if sp != nil {
 		sp.Detail = "lookup"
 	}
-	//ldlint:ignore noallocprop zone-lookup boundary: Lookup returns views over preassembled zone data; its rare growth paths are amortized and guarded by the respond benchmarks
 	res := z.Lookup(question.Name, question.Type, zone.LookupOptions{DNSSEC: dnssecOK})
 	sp.Mark("lookup")
 	switch res.Kind {
@@ -730,6 +733,10 @@ func packResponse(st *coreStats, sc *scratch, dst []byte, resp *dnswire.Message,
 		sc.buf = wire[:0]
 	}
 	meta.rcode = resp.Header.Rcode
+	// The sections were views of zone data (zone.Result): drop them, so
+	// that the scratch message's next Reset cannot truncate one to [:0]
+	// and hand the zone's backing array to an append.
+	resp.Answer, resp.Authority, resp.Additional = nil, nil, nil
 	st.responses.Add(1)
 	st.respByRcode[int(resp.Header.Rcode)&0xF].Add(1)
 	st.respBytes.Add(int64(len(wire)))

@@ -39,7 +39,7 @@ type EngineShard struct {
 	// cache is the shard-local packed-response cache. Keys and entries
 	// have the same shape as the shared respCache; the map itself is
 	// confined to the owning goroutine.
-	cache map[string]*cacheEntry
+	cache map[string]cacheEntry
 	// gen is the cache-generation snapshot; EndBatch clears the map when
 	// the engine bumps cacheGen (cap change / disablement).
 	gen uint64
@@ -69,7 +69,7 @@ type EngineShard struct {
 func (e *Engine) NewShard() *EngineShard {
 	sh := &EngineShard{
 		e:     e,
-		cache: make(map[string]*cacheEntry),
+		cache: make(map[string]cacheEntry),
 		gen:   e.cacheGen.Load(),
 	}
 	sh.sc.key = make([]byte, 0, 280)
@@ -141,7 +141,7 @@ func (sh *EngineShard) AppendRespond(dst, query []byte, src netip.Addr, transpor
 			qlen = qnameLen
 			sc.qnameLen = qnameLen
 			setSpanQName(sp, query[12:12+qnameLen])
-			if ent := sh.cache[string(sc.key)]; ent != nil {
+			if ent, ok := sh.cache[string(sc.key)]; ok {
 				st.cacheHits.Add(1)
 				dst = appendCached(st, dst, ent, query, qnameLen)
 				if sp != nil {
@@ -159,7 +159,7 @@ func (sh *EngineShard) AppendRespond(dst, query []byte, src netip.Addr, transpor
 
 	out, meta, err := e.respondSlow(st, sc, dst, query, vr, transport, sp)
 	if err == nil && cacheable && meta.cacheable && len(out) > len(dst) {
-		sh.cachePut(sc.key, out[len(dst):], sc.qnameLen, meta, int(e.cacheCap.Load()))
+		sh.cachePut(out[len(dst):], meta, int(e.cacheCap.Load()))
 	}
 	if sp != nil {
 		sp.Rcode = int(meta.rcode)
@@ -202,26 +202,14 @@ func (sh *EngineShard) flushViewCount() {
 	sh.pendN = 0
 }
 
-// cachePut stores a copy of resp in the shard-local cache under key,
-// evicting an arbitrary entry at capacity. Mirrors respCache.put but
-// needs no lock: the owning goroutine is the only mutator.
-func (sh *EngineShard) cachePut(key, resp []byte, qnameLen int, meta respMeta, capacity int) {
-	if capacity <= 0 || len(resp) < 12+qnameLen+4 {
+// cachePut stores a copy of resp in the shard-local cache under the
+// scratch key. Mirrors respCache.put but needs no lock: the owning
+// goroutine is the only mutator.
+func (sh *EngineShard) cachePut(resp []byte, meta respMeta, capacity int) {
+	if capacity <= 0 || len(resp) < 12+sh.sc.qnameLen+4 {
 		return
 	}
-	//ldlint:ignore noallocprop the documented per-miss allocation: the shard cache keeps a private copy of the response image
-	wire := make([]byte, len(resp))
-	copy(wire, resp)
-	wire[0], wire[1] = 0, 0
-	if _, exists := sh.cache[string(key)]; !exists {
-		for len(sh.cache) >= capacity {
-			for k := range sh.cache {
-				delete(sh.cache, k)
-				break
-			}
-			sh.cacheEvictions.Add(1)
-		}
-	}
-	sh.cache[string(key)] = &cacheEntry{wire: wire, truncated: meta.truncated, refused: meta.refused, rcode: meta.rcode}
+	key, ent := newCacheEntry(&sh.sc, resp, meta)
+	sh.cacheEvictions.Add(cacheInsert(sh.cache, key, ent, capacity))
 	sh.cacheEntries.Store(int64(len(sh.cache)))
 }

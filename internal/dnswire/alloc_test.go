@@ -43,3 +43,78 @@ func TestUnpackReuseAllocs(t *testing.T) {
 		t.Errorf("Unpack reuse allocs/op = %.2f, want ≤ 25", base)
 	}
 }
+
+// TestUnpackQueryReuseAllocs pins what a server pays to decode a query
+// into a reused Message: the qname string and nothing else — not for the
+// OPT record (decoded into storage the Message owns), not for its
+// options, not for the root name.
+func TestUnpackQueryReuseAllocs(t *testing.T) {
+	q := NewQuery(1, "www.example.com.", TypeA)
+	q.Edns = &EDNS{UDPSize: 4096, DO: true, Options: []EDNSOption{{Code: 10, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}}}
+	wire, err := q.Pack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := NewQuery(2, ".", TypeNS).Pack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Message
+	for _, c := range []struct {
+		wire []byte
+		want float64
+	}{{wire, 1}, {root, 0}} {
+		if err := m.Unpack(c.wire); err != nil { // size the section slices
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := m.Unpack(c.wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.want {
+			t.Errorf("Unpack of %q into a reused Message allocs/op = %.2f, want ≤ %v", m.Question[0].Name, allocs, c.want)
+		}
+	}
+}
+
+// TestUnpackReusedEDNS: the OPT storage is per Message and rewritten by
+// each Unpack — a second message's options replace the first's, and a
+// message without an OPT leaves Edns nil.
+func TestUnpackReusedEDNS(t *testing.T) {
+	pack := func(opts ...EDNSOption) []byte {
+		q := NewQuery(1, "example.com.", TypeA)
+		q.Edns = &EDNS{UDPSize: 1232, Options: opts}
+		wire, err := q.Pack(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	var m Message
+	if err := m.Unpack(pack(EDNSOption{Code: 10, Data: []byte("cookie!!")}, EDNSOption{Code: 8, Data: []byte{0, 1, 24, 0, 192, 0, 2}})); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Edns.Options) != 2 || string(m.Edns.Options[0].Data) != "cookie!!" || m.Edns.Options[1].Code != 8 {
+		t.Fatalf("options = %+v", m.Edns.Options)
+	}
+	if err := m.Unpack(pack(EDNSOption{Code: 12, Data: []byte{0, 0}})); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Edns.Options) != 1 || m.Edns.Options[0].Code != 12 || len(m.Edns.Options[0].Data) != 2 || m.Edns.UDPSize != 1232 {
+		t.Fatalf("second unpack: edns = %+v", m.Edns)
+	}
+	if err := m.Unpack(pack()); err != nil {
+		t.Fatal(err)
+	}
+	if m.Edns == nil || m.Edns.Options != nil {
+		t.Fatalf("third unpack: edns = %+v", m.Edns)
+	}
+	wire, err := NewQuery(3, "example.com.", TypeA).Pack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Unpack(wire); err != nil || m.Edns != nil {
+		t.Fatalf("no OPT: edns = %+v, err %v", m.Edns, err)
+	}
+}

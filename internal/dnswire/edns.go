@@ -59,34 +59,49 @@ func (e *EDNS) appendTo(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// unpackEDNS reconstructs an EDNS from the OPT record's reinterpreted
-// class and TTL fields plus its rdata.
-func unpackEDNS(name string, class Class, ttl uint32, rdata []byte) (*EDNS, error) {
+// Errors hoisted out of the noalloc unpackEDNS.
+var (
+	errOPTOwner       = errors.New("dnswire: OPT record with non-root owner")
+	errEDNSOptHeader  = errors.New("dnswire: truncated EDNS option")
+	errEDNSOptPayload = errors.New("dnswire: truncated EDNS option data")
+)
+
+// unpackEDNS reconstructs the OPT record from its reinterpreted class and
+// TTL fields plus its rdata into m.edns and points m.Edns at it. Option
+// payloads are copied out of the message once, into m.optData.
+//
+//ldlint:noalloc
+func (m *Message) unpackEDNS(name string, class Class, ttl uint32, rdata []byte) error {
 	if name != "." {
-		return nil, errors.New("dnswire: OPT record with non-root owner")
+		return errOPTOwner
 	}
-	e := &EDNS{
+	opts := m.edns.Options[:0]
+	m.edns = EDNS{
 		UDPSize:       uint16(class),
 		ExtendedRcode: uint8(ttl >> 24),
 		Version:       uint8(ttl >> 16),
 		DO:            ttl&(1<<15) != 0,
 	}
-	for len(rdata) > 0 {
-		if len(rdata) < 4 {
-			return nil, errors.New("dnswire: truncated EDNS option")
+	data := m.optData[:0]
+	data = append(data, rdata...)
+	m.optData = data
+	for len(data) > 0 {
+		if len(data) < 4 {
+			return errEDNSOptHeader
 		}
-		code := binary.BigEndian.Uint16(rdata)
-		n := int(binary.BigEndian.Uint16(rdata[2:]))
-		if len(rdata) < 4+n {
-			return nil, errors.New("dnswire: truncated EDNS option data")
+		code := binary.BigEndian.Uint16(data)
+		n := int(binary.BigEndian.Uint16(data[2:]))
+		if len(data) < 4+n {
+			return errEDNSOptPayload
 		}
-		e.Options = append(e.Options, EDNSOption{
-			Code: code,
-			Data: append([]byte(nil), rdata[4:4+n]...),
-		})
-		rdata = rdata[4+n:]
+		opts = append(opts, EDNSOption{Code: code, Data: data[4 : 4+n : 4+n]})
+		data = data[4+n:]
 	}
-	return e, nil
+	if len(opts) > 0 {
+		m.edns.Options = opts
+	}
+	m.Edns = &m.edns
+	return nil
 }
 
 // WireLen returns the packed size of the OPT record.

@@ -99,9 +99,9 @@ func FuzzMessageUnpack(f *testing.F) {
 			}
 		}
 		for _, name := range names {
-			// Decoding may widen invalid bytes to U+FFFD (3 octets), so
-			// allow up to 3x the 255-octet wire bound in presentation form.
-			if len(name) > 3*maxNameWire {
+			// Octets pass through decoding unchanged, so the presentation
+			// form is bounded by the 255-octet wire form.
+			if len(name) > maxNameWire {
 				t.Fatalf("decoded name of %d bytes exceeds wire-format bound", len(name))
 			}
 		}

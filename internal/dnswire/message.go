@@ -107,8 +107,15 @@ type Message struct {
 
 	// Edns carries the OPT pseudo-record when present. It lives outside
 	// Additional so replay code can manipulate EDNS independently; Pack
-	// appends it to the additional section and Unpack extracts it.
+	// appends it to the additional section and Unpack extracts it. After
+	// an Unpack it points at storage inside m, valid until m's next Unpack.
 	Edns *EDNS
+
+	// edns and optData are what Unpack decodes an OPT record into, so a
+	// reused Message allocates nothing per OPT: Edns points at edns, and
+	// its option payloads are slices of optData.
+	edns    EDNS
+	optData []byte
 }
 
 // Reset clears m for reuse, retaining section slice capacity.
@@ -214,7 +221,11 @@ func appendRR(buf []byte, rr RR, cmp compressionMap, msgStart int) ([]byte, erro
 }
 
 // Unpack parses msg into m, replacing its contents. Sections are appended
-// into m's existing slices where capacity allows.
+// into m's existing slices where capacity allows and an OPT record is
+// decoded into storage m owns, so unpacking a query into a reused Message
+// allocates one string per name and nothing else.
+//
+//ldlint:noalloc
 func (m *Message) Unpack(msg []byte) error {
 	m.Reset()
 	if len(msg) < 12 {
@@ -252,16 +263,14 @@ func (m *Message) Unpack(msg []byte) error {
 		off += 4
 		m.Question = append(m.Question, q)
 	}
-	for s, count := range []int{an, ns, ar} {
+	for s, count := range [...]int{an, ns, ar} {
 		for i := 0; i < count; i++ {
 			var rr RR
-			var opt *EDNS
-			if rr, opt, off, err = unpackRR(msg, off); err != nil {
+			if rr, off, err = m.unpackRR(msg, off); err != nil {
 				return err
 			}
-			if opt != nil {
-				m.Edns = opt
-				continue
+			if rr.Data == nil {
+				continue // an OPT record, now in m.Edns
 			}
 			switch s {
 			case 0:
@@ -276,15 +285,17 @@ func (m *Message) Unpack(msg []byte) error {
 	return nil
 }
 
-// unpackRR decodes one resource record at msg[off:]. OPT records are
-// returned as *EDNS with a zero RR.
-func unpackRR(msg []byte, off int) (RR, *EDNS, int, error) {
+// unpackRR decodes one resource record at msg[off:]. An OPT record is
+// decoded into m.Edns and returned as the zero RR.
+//
+//ldlint:noalloc
+func (m *Message) unpackRR(msg []byte, off int) (RR, int, error) {
 	name, off, err := unpackName(msg, off)
 	if err != nil {
-		return RR{}, nil, 0, err
+		return RR{}, 0, err
 	}
 	if off+10 > len(msg) {
-		return RR{}, nil, 0, ErrTruncatedMessage
+		return RR{}, 0, ErrTruncatedMessage
 	}
 	typ := Type(binary.BigEndian.Uint16(msg[off:]))
 	class := Class(binary.BigEndian.Uint16(msg[off+2:]))
@@ -292,17 +303,17 @@ func unpackRR(msg []byte, off int) (RR, *EDNS, int, error) {
 	rdlen := int(binary.BigEndian.Uint16(msg[off+8:]))
 	off += 10
 	if off+rdlen > len(msg) {
-		return RR{}, nil, 0, ErrTruncatedMessage
+		return RR{}, 0, ErrTruncatedMessage
 	}
 	if typ == TypeOPT {
-		opt, err := unpackEDNS(name, class, ttl, msg[off:off+rdlen])
-		return RR{}, opt, off + rdlen, err
+		return RR{}, off + rdlen, m.unpackEDNS(name, class, ttl, msg[off:off+rdlen])
 	}
+	//ldlint:ignore noallocprop record payloads are the caller's to keep; a query carries none besides its OPT, so the server's decode never gets here
 	data, err := unpackRData(typ, msg, off, rdlen)
 	if err != nil {
-		return RR{}, nil, 0, err
+		return RR{}, 0, err
 	}
-	return RR{Name: name, Class: class, TTL: ttl, Data: data}, nil, off + rdlen, nil
+	return RR{Name: name, Class: class, TTL: ttl, Data: data}, off + rdlen, nil
 }
 
 // PackedLen returns the wire size of m, or an error if it cannot encode.

@@ -19,6 +19,7 @@ var (
 	ErrBadPointer     = errors.New("dnswire: compression pointer out of range")
 	ErrTruncatedName  = errors.New("dnswire: truncated name")
 	ErrTrailingGarbge = errors.New("dnswire: bad name syntax")
+	errReservedLabel  = errors.New("dnswire: reserved label type")
 )
 
 const (
@@ -29,17 +30,41 @@ const (
 	maxPointers = 128
 )
 
-// CanonicalName lowercases s and ensures it is dot-terminated. It does not
+// CanonicalName lowercases the ASCII letters of s (DNS case folding is
+// ASCII-only, RFC 4343; other octets pass through) and ensures it is
+// dot-terminated. A name already in that form — every name Unpack or a
+// Zone hands out — is returned as is, without allocating. It does not
 // validate label lengths; use SplitLabels or AppendName for that.
 func CanonicalName(s string) string {
-	if s == "" || s == "." {
+	if s == "" {
 		return "."
 	}
-	s = strings.ToLower(s)
-	if !strings.HasSuffix(s, ".") {
-		s += "."
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; 'A' <= c && c <= 'Z' {
+			return canonicalize(s)
+		}
+	}
+	if s[len(s)-1] != '.' {
+		return canonicalize(s)
 	}
 	return s
+}
+
+// canonicalize is CanonicalName's rewriting path; it allocates the result.
+func canonicalize(s string) string {
+	var sb strings.Builder
+	sb.Grow(len(s) + 1)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		sb.WriteByte(c)
+	}
+	if s[len(s)-1] != '.' {
+		sb.WriteByte('.')
+	}
+	return sb.String()
 }
 
 // SplitLabels splits a canonical name into its labels, excluding the root.
@@ -85,7 +110,6 @@ func IsSubdomain(child, parent string) bool {
 
 // nameWireLen returns the uncompressed wire length of a canonical name.
 func nameWireLen(name string) int {
-	//ldlint:ignore noallocprop CanonicalName is a pass-through for already-canonical names; only mixed-case or undotted input pays its lowercasing/concat
 	name = CanonicalName(name)
 	if name == "." {
 		return 1
@@ -149,7 +173,6 @@ func (c *compressor) reset() {
 //
 //ldlint:noalloc
 func appendName(buf []byte, name string, cmp compressionMap, msgStart int) ([]byte, error) {
-	//ldlint:ignore noallocprop CanonicalName is a pass-through for already-canonical names; only mixed-case or undotted input pays its lowercasing/concat
 	name = CanonicalName(name)
 	if nameWireLen(name) > maxNameWire {
 		return buf, ErrNameTooLong
@@ -185,13 +208,16 @@ func appendName(buf []byte, name string, cmp compressionMap, msgStart int) ([]by
 // unpackName decodes a possibly compressed name from msg starting at off.
 // It returns the canonical presentation form and the offset just past the
 // name's in-place encoding (i.e. past the first pointer if one occurred).
+// Labels are lowercased into a stack buffer, so the decoded string is the
+// only allocation, and the root costs none.
 func unpackName(msg []byte, off int) (string, int, error) {
-	var sb strings.Builder
+	// A name's presentation form is one octet shorter than its wire form.
+	var buf [maxNameWire]byte
+	n := 0
 	ptrBudget := maxPointers
 	// next is the offset to resume at after the name; set when the first
 	// pointer is followed.
 	next := -1
-	totalWire := 0
 	for {
 		if off >= len(msg) {
 			return "", 0, ErrTruncatedName
@@ -202,10 +228,11 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			if next == -1 {
 				next = off + 1
 			}
-			if sb.Len() == 0 {
+			if n == 0 {
 				return ".", next, nil
 			}
-			return strings.ToLower(sb.String()), next, nil
+			//ldlint:ignore noallocprop the decoded name is the caller's to keep: one string per name, none for the root
+			return string(buf[:n]), next, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
 				return "", 0, ErrTruncatedName
@@ -224,17 +251,23 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			}
 			off = ptr
 		case b&0xC0 != 0:
-			return "", 0, errors.New("dnswire: reserved label type")
+			return "", 0, errReservedLabel
 		default:
 			if off+1+b > len(msg) {
 				return "", 0, ErrTruncatedName
 			}
-			totalWire += b + 1
-			if totalWire > maxNameWire {
+			if n+b+1 > maxNameWire {
 				return "", 0, ErrNameTooLong
 			}
-			sb.Write(msg[off+1 : off+1+b])
-			sb.WriteByte('.')
+			for _, c := range msg[off+1 : off+1+b] {
+				if 'A' <= c && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				buf[n] = c
+				n++
+			}
+			buf[n] = '.'
+			n++
 			off += 1 + b
 		}
 	}
@@ -260,22 +293,32 @@ func ValidName(name string) bool {
 
 // CompareNames orders names in canonical DNS order (RFC 4034 §6.1):
 // by reversed label sequence. It is used for NSEC chains and deterministic
-// zone-file output.
+// zone-file output. Labels are compared in place, right to left, so the
+// comparison allocates nothing for canonical names.
+//
+//ldlint:noalloc
 func CompareNames(a, b string) int {
-	la, lb := SplitLabels(a), SplitLabels(b)
-	for i := 1; i <= len(la) && i <= len(lb); i++ {
-		x, y := la[len(la)-i], lb[len(lb)-i]
-		if x != y {
-			if x < y {
-				return -1
-			}
-			return 1
+	a, b = CanonicalName(a), CanonicalName(b)
+	// Drop the root dot; what is left is labels joined by dots, and the
+	// root itself has none.
+	ra, rb := a[:len(a)-1], b[:len(b)-1]
+	moreA, moreB := a != ".", b != "."
+	for moreA && moreB {
+		sa, sb := strings.LastIndexByte(ra, '.')+1, strings.LastIndexByte(rb, '.')+1
+		if c := strings.Compare(ra[sa:], rb[sb:]); c != 0 {
+			return c
+		}
+		if moreA = sa > 0; moreA {
+			ra = ra[:sa-1]
+		}
+		if moreB = sb > 0; moreB {
+			rb = rb[:sb-1]
 		}
 	}
 	switch {
-	case len(la) < len(lb):
+	case moreB:
 		return -1
-	case len(la) > len(lb):
+	case moreA:
 		return 1
 	}
 	return 0

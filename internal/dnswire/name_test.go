@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -204,5 +205,73 @@ func TestAppendNameRootEncoding(t *testing.T) {
 	}
 	if !bytes.Equal(buf, []byte{0}) {
 		t.Errorf("root encodes as % x, want 00", buf)
+	}
+}
+
+// TestCompareNamesMatchesLabelSplit checks the in-place comparison
+// against the definition — compare SplitLabels right to left — on names
+// drawn to collide: shared suffixes, prefix labels, empty labels, case.
+func TestCompareNamesMatchesLabelSplit(t *testing.T) {
+	bySplit := func(a, b string) int {
+		la, lb := SplitLabels(a), SplitLabels(b)
+		for i := 1; i <= len(la) && i <= len(lb); i++ {
+			if c := strings.Compare(la[len(la)-i], lb[len(lb)-i]); c != 0 {
+				return c
+			}
+		}
+		return len(la) - len(lb)
+	}
+	sign := func(n int) int {
+		switch {
+		case n < 0:
+			return -1
+		case n > 0:
+			return 1
+		}
+		return 0
+	}
+	rng := rand.New(rand.NewSource(1))
+	labels := []string{"a", "ab", "b", "A", "", "*", "-", "z9"}
+	name := func() string {
+		var sb strings.Builder
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			sb.WriteString(labels[rng.Intn(len(labels))])
+			sb.WriteByte('.')
+		}
+		return sb.String()
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := name(), name()
+		if got, want := CompareNames(a, b), sign(bySplit(a, b)); got != want {
+			t.Fatalf("CompareNames(%q, %q) = %d, label-split order says %d", a, b, got, want)
+		}
+	}
+}
+
+// TestCanonicalNameFoldsASCIIOnly: DNS case folding is ASCII-only (RFC
+// 4343). Other octets — UTF-8 capitals, bytes that are not UTF-8 at all —
+// pass through, so a name survives decode → canonicalize → encode with
+// its length intact.
+func TestCanonicalNameFoldsASCIIOnly(t *testing.T) {
+	for in, want := range map[string]string{
+		"ÉCOLE.Example":      "École.example.",
+		"\xff\xfeX.":         "\xff\xfex.",
+		"already.canonical.": "already.canonical.",
+	} {
+		if got := CanonicalName(in); got != want {
+			t.Errorf("CanonicalName(%q) = %q, want %q", in, got, want)
+		}
+	}
+	wire := []byte{2, 0xFF, 'Q', 0}
+	name, next, err := unpackName(wire, 0)
+	if err != nil || name != "\xffq." || next != len(wire) {
+		t.Fatalf("unpackName = %q, %d, %v", name, next, err)
+	}
+	back, err := appendName(nil, name, nil, 0)
+	if err != nil || len(back) != len(wire) {
+		t.Errorf("re-encoded %q as %x, want the original %d octets", name, back, len(wire))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { CanonicalName("already.canonical.") }); allocs != 0 {
+		t.Errorf("CanonicalName of a canonical name allocates %.1f times", allocs)
 	}
 }

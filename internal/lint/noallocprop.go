@@ -31,7 +31,7 @@ import (
 //
 // A //ldlint:ignore noallocprop on a call site cuts traversal at that
 // edge: the sanctioned way to mark a deliberate cold-path boundary
-// (respondSlow handing off to the full decoder on a cache miss)
+// (zone.Lookup handing off to wildcard and CNAME-chain synthesis)
 // without suppressing every construct in the callee's subtree.
 var NoAllocProp = &ModuleAnalyzer{
 	Name: "noallocprop",

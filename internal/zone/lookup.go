@@ -43,6 +43,14 @@ func (k AnswerKind) String() string {
 }
 
 // Result is the outcome of Lookup, already split into response sections.
+//
+// The sections are read-only views of the zone's compiled data, shared
+// with every other Lookup of the same zone. Reading them and appending to
+// them as returned is safe: each view's capacity equals its length, so an
+// append copies before it grows. Assigning to an element is not — it
+// rewrites the zone's answer for every later query — and neither is
+// appending to a shortened re-slice (s[:0], s[:1]), which has room to
+// write in place.
 type Result struct {
 	Kind       AnswerKind
 	Records    []dnswire.RR // answer section (includes chased CNAMEs)
@@ -58,217 +66,172 @@ type LookupOptions struct {
 }
 
 // Lookup resolves (qname, qtype) against the zone with full authoritative
-// semantics. The order of checks mirrors RFC 1034 §4.3.2:
-// referral cut first, then exact match, CNAME, wildcard, and finally the
-// negative answers.
+// semantics. The order of checks mirrors RFC 1034 §4.3.2: referral cut
+// first, then exact match, CNAME, wildcard, and finally the negative
+// answers. It answers from the zone's compiled index (see index) and
+// allocates only to expand a wildcard or follow a CNAME chain.
+//
+//ldlint:noalloc
 func (z *Zone) Lookup(qname string, qtype dnswire.Type, opts LookupOptions) Result {
-	qname = dnswire.CanonicalName(qname)
-	if !dnswire.IsSubdomain(qname, z.Origin) {
-		return Result{Kind: OutOfZone}
+	ix := z.index.Load()
+	if ix == nil {
+		//ldlint:ignore noallocprop index build: once after the last Add, not per query
+		z.Compile()
+		ix = z.index.Load()
 	}
+	return ix.lookup(dnswire.CanonicalName(qname), qtype, opts.DNSSEC)
+}
 
-	// Zone cut: answer with a referral unless the query is for the DS
-	// RRset exactly at the cut (which the parent owns).
-	if cut := z.deepestCut(qname); cut != "" && !(qname == cut && qtype == dnswire.TypeDS) {
-		return z.referral(cut, opts)
-	}
-
-	var res Result
-	res.Records = z.answerChasing(qname, qtype, opts, 0)
-	if len(res.Records) > 0 {
-		res.Kind = Answer
-		z.attachSigs(&res.Records, opts)
-		return res
-	}
-
-	if z.NameExists(qname) {
-		res.Kind = NoData
-	} else if wname := z.matchWildcard(qname); wname != "" {
-		if set := z.RRset(wname, qtype); len(set) > 0 {
-			res.Kind = Answer
-			for _, rr := range set {
-				rr.Name = qname // wildcard expansion
-				res.Records = append(res.Records, rr)
+// lookup answers one canonical qname. It walks qname's suffixes from the
+// label just below the apex downward — each one a substring of qname — so
+// one pass finds the highest cut above the name, the node itself when it
+// exists, and otherwise its closest encloser (whose "*" child is the only
+// wildcard that can match).
+//
+//ldlint:noalloc
+func (ix *index) lookup(qname string, qtype dnswire.Type, dnssec bool) Result {
+	n, exact := ix.apex, qname == ix.origin
+	if !exact {
+		// end is the dot that closes qname's last label below the origin.
+		end := len(qname) - 1
+		if ix.origin != "." {
+			end -= len(ix.origin)
+			if end < 0 || qname[end] != '.' || qname[end+1:] != ix.origin {
+				return Result{Kind: OutOfZone}
 			}
-			z.attachSigs(&res.Records, opts)
-			return res
 		}
-		if set := z.RRset(wname, dnswire.TypeCNAME); len(set) > 0 {
-			rr := set[0]
-			rr.Name = qname
-			res.Kind = Answer
-			res.Records = append(res.Records, rr)
-			res.Records = append(res.Records, z.answerChasing(rr.Data.(dnswire.CNAME).Target, qtype, opts, 1)...)
-			z.attachSigs(&res.Records, opts)
-			return res
+		for !exact {
+			start := strings.LastIndexByte(qname[:end], '.') + 1
+			child := ix.nodes[qname[start:]]
+			if child == nil {
+				break // nothing below a name that does not exist
+			}
+			n, exact = child, start == 0
+			// The highest cut wins: everything below it is the child's,
+			// except the DS RRset at the cut itself, which the parent owns.
+			if n.cut != nil && !(exact && qtype == dnswire.TypeDS) {
+				return Result{Kind: Referral, Authority: n.cut.authority.view(dnssec), Additional: n.cut.glue}
+			}
+			end = start - 1
 		}
-		res.Kind = NoData
-	} else {
-		res.Kind = NXDomain
 	}
 
-	if soa, ok := z.SOA(); ok {
-		res.Authority = append(res.Authority, soa)
-		if opts.DNSSEC {
-			res.Authority = append(res.Authority, z.sigsFor(soa.Name, dnswire.TypeSOA)...)
-			res.Authority = append(res.Authority, z.nsecFor(qname)...)
+	// src is the node whose data answers: the name itself, or the
+	// wildcard under its closest encloser.
+	src := n
+	if !exact {
+		src = n.wild
+	}
+	kind := NXDomain
+	if src != nil {
+		kind = NoData
+		var direct *section
+		if exact || qtype != dnswire.TypeANY { // ANY does not match a wildcard's RRsets
+			direct = src.answer(qtype)
+		}
+		if direct != nil && exact {
+			return Result{Kind: Answer, Records: direct.view(dnssec)}
+		}
+		if direct != nil || (qtype != dnswire.TypeCNAME && src.set(dnswire.TypeCNAME) != nil) {
+			//ldlint:ignore noallocprop wildcard expansion and CNAME chains assemble a fresh answer section per query; every other outcome is a view
+			return ix.synthesize(src, exact, qname, qtype, dnssec)
 		}
 	}
-	return res
+	return Result{Kind: kind, Authority: ix.negativeAuthority(qname, dnssec)}
+}
+
+// negativeAuthority returns the authority section of a NODATA or NXDOMAIN
+// answer for qname: the SOA, plus (DNSSEC) its RRSIGs and the NSEC that
+// covers qname when the zone has a chain.
+//
+//ldlint:noalloc
+func (ix *index) negativeAuthority(qname string, dnssec bool) []dnswire.RR {
+	if dnssec {
+		lo, hi := 0, len(ix.nsecOwners)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if dnswire.CompareNames(ix.nsecOwners[mid], qname) <= 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo > 0 {
+			return ix.denial[lo-1]
+		}
+	}
+	return ix.negative.view(dnssec)
 }
 
 // maxCNAMEChain bounds in-zone CNAME chasing; RFC 1034 resolvers bail far
 // earlier, and loops must not hang the server.
 const maxCNAMEChain = 8
 
-// answerChasing returns the RRset for (qname, qtype), following CNAMEs
-// within the zone. qtype CNAME and ANY are answered directly.
-func (z *Zone) answerChasing(qname string, qtype dnswire.Type, opts LookupOptions, depth int) []dnswire.RR {
-	if depth > maxCNAMEChain {
-		return nil
-	}
-	qname = dnswire.CanonicalName(qname)
-	if qtype == dnswire.TypeANY {
-		var out []dnswire.RR
-		for key, set := range z.rrsets {
-			if key.name == qname {
-				out = append(out, set...)
-			}
-		}
-		return out
-	}
-	if set := z.RRset(qname, qtype); len(set) > 0 {
-		return append([]dnswire.RR(nil), set...)
-	}
-	if qtype == dnswire.TypeCNAME {
-		return nil
-	}
-	if set := z.RRset(qname, dnswire.TypeCNAME); len(set) > 0 {
-		out := append([]dnswire.RR(nil), set[0])
-		target := set[0].Data.(dnswire.CNAME).Target
-		if dnswire.IsSubdomain(target, z.Origin) {
-			out = append(out, z.answerChasing(target, qtype, opts, depth+1)...)
-		}
-		return out
-	}
-	return nil
-}
-
-// referral builds a delegation response for the cut name.
-func (z *Zone) referral(cut string, opts LookupOptions) Result {
-	res := Result{Kind: Referral}
-	res.Authority = append(res.Authority, z.RRset(cut, dnswire.TypeNS)...)
-	if opts.DNSSEC {
-		// A signed delegation carries the DS set (or its absence proof).
-		if ds := z.RRset(cut, dnswire.TypeDS); len(ds) > 0 {
-			res.Authority = append(res.Authority, ds...)
-			res.Authority = append(res.Authority, z.sigsFor(cut, dnswire.TypeDS)...)
-		}
-	}
-	for _, rr := range res.Authority {
-		ns, ok := rr.Data.(dnswire.NS)
-		if !ok {
-			continue
-		}
-		res.Additional = append(res.Additional, z.RRset(ns.Host, dnswire.TypeA)...)
-		res.Additional = append(res.Additional, z.RRset(ns.Host, dnswire.TypeAAAA)...)
-	}
-	return res
-}
-
-// matchWildcard returns the wildcard owner ("*.parent.") that would cover
-// qname, or "". The closest-encloser rule applies: only the wildcard at
-// the nearest existing ancestor matches.
-func (z *Zone) matchWildcard(qname string) string {
-	if len(z.wildcards) == 0 {
-		return ""
-	}
-	labels := dnswire.SplitLabels(qname)
-	for i := 1; i <= len(labels); i++ {
-		parent := strings.Join(labels[i:], ".")
-		if parent == "" {
-			parent = "."
-		} else {
-			parent += "."
-		}
-		candidate := "*." + strings.TrimPrefix(parent, ".")
-		if parent == "." {
-			candidate = "*."
-		}
-		if _, ok := z.wildcards[candidate]; ok {
-			return candidate
-		}
-		if !dnswire.IsSubdomain(parent, z.Origin) {
-			break
-		}
-		// If the intermediate name exists, it blocks wildcards above it
-		// only when i == 1 (the direct parent); the classic rule is that
-		// an existing closest encloser stops the search.
-		if i < len(labels) && z.NameExists(parent) {
-			break
-		}
-	}
-	return ""
-}
-
-// attachSigs appends the RRSIGs covering every distinct (name, type) pair
-// in records when DNSSEC is requested.
-func (z *Zone) attachSigs(records *[]dnswire.RR, opts LookupOptions) {
-	if !opts.DNSSEC {
-		return
-	}
-	seen := make(map[rrKey]struct{})
+// synthesize builds the answers that cannot be views: src's records
+// re-owned by qname when src is a wildcard (!exact), and CNAME chains.
+// The caller has checked that src holds qtype or a CNAME.
+func (ix *index) synthesize(src *node, exact bool, qname string, qtype dnswire.Type, dnssec bool) Result {
+	out := make([]dnswire.RR, 0, 4)
 	var sigs []dnswire.RR
-	for _, rr := range *records {
-		k := rrKey{name: rr.Name, typ: rr.Type()}
-		if _, dup := seen[k]; dup {
-			continue
+	depth := 0
+	if !exact {
+		var recs []dnswire.RR
+		s := src.set(qtype)
+		if s != nil {
+			recs = s.records()
+		} else {
+			s = src.set(dnswire.TypeCNAME)
+			recs = s.records()[:1]
 		}
-		seen[k] = struct{}{}
-		sigs = append(sigs, z.sigsFor(rr.Name, rr.Type())...)
-	}
-	*records = append(*records, sigs...)
-}
-
-// sigsFor returns the RRSIG records covering (name, covered). Wildcard-
-// expanded names fall back to the wildcard owner's signatures.
-func (z *Zone) sigsFor(name string, covered dnswire.Type) []dnswire.RR {
-	var out []dnswire.RR
-	candidates := z.RRset(name, dnswire.TypeRRSIG)
-	if len(candidates) == 0 {
-		if w := z.matchWildcard(name); w != "" {
-			for _, rr := range z.RRset(w, dnswire.TypeRRSIG) {
-				rr.Name = name
-				candidates = append(candidates, rr)
-			}
-		}
-	}
-	for _, rr := range candidates {
-		if sig, ok := rr.Data.(dnswire.RRSIG); ok && sig.TypeCovered == covered {
+		for _, rr := range recs {
+			rr.Name = qname
 			out = append(out, rr)
 		}
+		if dnssec {
+			for _, rr := range s.sigs() {
+				rr.Name = qname
+				sigs = append(sigs, rr)
+			}
+		}
+		if s.typ == qtype {
+			return Result{Kind: Answer, Records: append(out, sigs...)}
+		}
+		src = ix.nodes[dnswire.CanonicalName(recs[0].Data.(dnswire.CNAME).Target)]
+		depth = 1
 	}
-	return out
-}
 
-// nsecFor returns an NSEC record (plus its signature) proving the
-// nonexistence of qname, when the zone carries an NSEC chain.
-func (z *Zone) nsecFor(qname string) []dnswire.RR {
-	// Find the closest predecessor owner name carrying an NSEC record.
-	var best string
-	for key := range z.rrsets {
-		if key.typ != dnswire.TypeNSEC {
-			continue
+	// Follow CNAMEs inside the zone. Targets are looked up as plain nodes:
+	// neither cuts nor wildcards apply to them, and a target outside the
+	// zone (or absent from it) ends the chain.
+	var seen [maxCNAMEChain + 1]*rrset
+	hops := 0
+	for ; src != nil && depth <= maxCNAMEChain; depth++ {
+		s := src.answer(qtype)
+		if s != nil {
+			out = append(out, s.records()...)
+			if dnssec {
+				sigs = append(sigs, s.sigs()...)
+			}
+			break
 		}
-		if dnswire.CompareNames(key.name, qname) <= 0 &&
-			(best == "" || dnswire.CompareNames(key.name, best) > 0) {
-			best = key.name
+		cname := src.set(dnswire.TypeCNAME)
+		if cname == nil || qtype == dnswire.TypeCNAME {
+			break
 		}
+		out = append(out, cname.records()[0])
+		// A loop revisits an RRset; its RRSIGs go out once.
+		revisit := false
+		for _, prev := range seen[:hops] {
+			revisit = revisit || prev == cname
+		}
+		if !revisit {
+			seen[hops] = cname
+			hops++
+			if dnssec {
+				sigs = append(sigs, cname.sigs()...)
+			}
+		}
+		src = ix.nodes[dnswire.CanonicalName(cname.records()[0].Data.(dnswire.CNAME).Target)]
 	}
-	if best == "" {
-		return nil
-	}
-	out := append([]dnswire.RR(nil), z.RRset(best, dnswire.TypeNSEC)...)
-	out = append(out, z.sigsFor(best, dnswire.TypeNSEC)...)
-	return out
+	return Result{Kind: Answer, Records: append(out, sigs...)}
 }

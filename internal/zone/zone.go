@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"ldplayer/internal/dnswire"
 )
@@ -20,7 +22,9 @@ type rrKey struct {
 }
 
 // Zone holds the authoritative data for a single zone (one origin).
-// It is safe for concurrent readers once loading is complete.
+// It is safe for concurrent readers once loading is complete. The maps
+// below are the load-time form; Lookup answers from the compiled index
+// (index.go) built from them.
 type Zone struct {
 	// Origin is the canonical apex name, e.g. "com." or ".".
 	Origin string
@@ -37,8 +41,13 @@ type Zone struct {
 	// cuts records delegation points: names strictly below the origin that
 	// own NS RRsets. Lookups at or below a cut yield referrals.
 	cuts map[string]struct{}
-	// wildcards records owner names of the form *.parent for fast checks.
+	// wildcards records owner names of the form *.parent.
 	wildcards map[string]struct{}
+
+	// index is the compiled form Lookup reads: nil until the first Lookup
+	// (or Compile) after the last Add, which builds it under buildMu.
+	index   atomic.Pointer[index]
+	buildMu sync.Mutex
 }
 
 // New creates an empty zone rooted at origin.
@@ -75,6 +84,7 @@ func (z *Zone) Add(rr dnswire.RR) error {
 		return nil // duplicate
 	}
 	seen[rendered] = struct{}{}
+	z.index.Store(nil)
 	z.rrsets[key] = append(z.rrsets[key], rr)
 	z.names[name] = struct{}{}
 	// Register empty non-terminals so intermediate names answer NODATA
@@ -187,21 +197,4 @@ func (z *Zone) Validate() []error {
 		}
 	}
 	return errs
-}
-
-// deepestCut returns the highest (closest to the apex) delegation point
-// strictly above-or-at qname, or "" when the name is not under any cut.
-// The highest cut wins because everything below it belongs to the child.
-func (z *Zone) deepestCut(qname string) string {
-	labels := dnswire.SplitLabels(qname)
-	origin := z.Origin
-	// Walk from just below the origin toward qname.
-	depthOrigin := dnswire.CountLabels(origin)
-	for i := len(labels) - depthOrigin - 1; i >= 0; i-- {
-		candidate := strings.Join(labels[i:], ".") + "."
-		if _, ok := z.cuts[candidate]; ok {
-			return candidate
-		}
-	}
-	return ""
 }

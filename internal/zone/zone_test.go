@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"bytes"
 	"net/netip"
 	"strings"
 	"testing"
@@ -316,5 +317,35 @@ func TestLookupDNSSECNegative(t *testing.T) {
 	}
 	if types[dnswire.TypeSOA] != 1 || types[dnswire.TypeRRSIG] == 0 || types[dnswire.TypeNSEC] == 0 {
 		t.Errorf("authority types = %v", types)
+	}
+}
+
+// TestLookupANYDeterministic: an ANY answer lists the node's RRsets in
+// ascending type order, so one question always packs to the same bytes —
+// across lookups and across rebuilds of the zone (the map-walking Lookup
+// emitted them in map-iteration order, a different one each call).
+func TestLookupANYDeterministic(t *testing.T) {
+	var first []byte
+	for i := 0; i < 100; i++ {
+		z := testZone(t)
+		res := z.Lookup("example.com.", dnswire.TypeANY, LookupOptions{})
+		if res.Kind != Answer || len(res.Records) != 4 { // SOA, 2×NS, MX
+			t.Fatalf("kind = %v records = %v", res.Kind, res.Records)
+		}
+		for j := 1; j < len(res.Records); j++ {
+			if res.Records[j-1].Type() > res.Records[j].Type() {
+				t.Fatalf("ANY answer not in type order: %v", res.Records)
+			}
+		}
+		m := dnswire.Message{Answer: res.Records}
+		wire, err := m.Pack(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = wire
+		} else if !bytes.Equal(wire, first) {
+			t.Fatalf("lookup %d packs differently:\n%x\n%x", i, wire, first)
+		}
 	}
 }
