@@ -5,12 +5,13 @@
 # short-form run of the engine hot-path benchmarks (which also executes
 # their allocation sanity assertions), the observability smoke test, and
 # a short fuzz budget over the DNS wire codec. The race-detector suite
-# (`make race`) runs as its own CI job in parallel with the gate; run it
-# locally before pushing concurrency changes.
+# (`make race`) runs as its own CI job in parallel with the gate, as does
+# the repeat-under-load flake hunt (`make flake`); run them locally
+# before pushing concurrency or timing changes.
 
 GO ?= go
 
-.PHONY: check vet lint lint-interproc build test race bench-smoke bench-e2e bench-ledger bench-replay bench-replay-smoke bench-server bench-server-smoke bench-qlog bench-qlog-smoke bench-trace bench-trace-smoke bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
+.PHONY: check vet lint lint-interproc build test race flake bench-smoke bench-e2e bench-ledger bench-replay bench-replay-smoke bench-server bench-server-smoke bench-qlog bench-qlog-smoke bench-trace bench-trace-smoke bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
 
 check: vet lint-interproc build test bench-smoke bench-replay-smoke bench-server-smoke bench-qlog-smoke bench-trace-smoke obs-smoke qlog-smoke sim-smoke fuzz-smoke
 
@@ -42,6 +43,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Flake hunt over the packages whose tests run against the wall clock and
+# real sockets: twenty repetitions under the race detector beside a busy
+# loop, so a send/record ordering race or a pacing assertion that only
+# holds on an idle box fails here, not once a month in CI. The hog is
+# killed however the tests end.
+FLAKE_PKGS ?= ./internal/replay ./internal/core ./internal/netio
+flake:
+	@( while :; do :; done ) & hog=$$!; trap 'kill $$hog' EXIT; \
+	$(GO) test -count=20 -race $(FLAKE_PKGS)
 
 # A fast smoke run of the meta-DNS-server hot path: enough iterations to
 # exercise the cached, miss, and many-zone routes without benchmarking

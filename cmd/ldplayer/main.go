@@ -433,6 +433,12 @@ func cmdReplay(args []string) error {
 		fmt.Printf("retransmits=%d giveups=%d dup-responses=%d\n",
 			st.UDPRetransmits, st.Giveups, st.Duplicates)
 	}
+	if st.WheelWakeups > 0 || st.WheelSpin > 0 {
+		// Spin near 100% of wall per distributor is a client burning a core.
+		fmt.Printf("pacing: wakeups=%d spin=%.1f%% of wall, wake overshoot p50=%v p99=%v\n",
+			st.WheelWakeups, 100*st.WheelSpin.Seconds()/st.Duration.Seconds(),
+			st.WakeOvershootP50, st.WakeOvershootP99)
+	}
 	if relay != nil {
 		is := relay.Stats()
 		fmt.Printf("impairment: offered=%d dropped=%d duplicated=%d reordered=%d corrupted=%d\n",

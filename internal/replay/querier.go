@@ -120,11 +120,8 @@ func (q *querier) sendBatch(batch []trace.Entry) {
 			sock.out = append(sock.out, e.Message)
 			sock.outIdx = append(sock.outIdx, i)
 		case trace.TCP, trace.TLS:
-			err := q.sendStream(*e)
-			if err != nil {
+			if err := q.sendStream(e); err != nil {
 				q.fail(e, err)
-			} else {
-				q.accountSend(e, q.en.clock.Now())
 			}
 		}
 	}
@@ -135,25 +132,33 @@ func (q *querier) sendBatch(batch []trace.Entry) {
 	// per-query shard lock entirely.
 	retrans := q.en.cfg.UDPRetries > 0
 	for _, sock := range q.dirty {
-		n, err := sock.batch.Send(sock.out)
+		// Record every send before the syscall that performs it: on
+		// loopback a response can reach the socket's reader before
+		// sendmmsg returns, and it must find its query pending, its send
+		// stamp set and its OnSend delivered.
 		at := q.en.clock.Now()
+		sock.lastSend.Store(at.UnixNano())
+		for _, idx := range sock.outIdx {
+			e := &batch[idx]
+			if retrans {
+				q.trackUDP(sock, e.Message)
+			}
+			q.accountSend(e, at)
+		}
 		if h := q.en.batchSizeHist.Load(); h != nil {
 			h.Record(int64(len(sock.out)))
 		}
-		if n > 0 {
-			sock.lastSend.Store(at.UnixNano())
-		}
-		for j, idx := range sock.outIdx {
+		n, err := sock.batch.Send(sock.out)
+		// Send guarantees n < len(out) implies err != nil: take the unsent
+		// tail back. Its OnSend and qlog events have gone out already;
+		// OnError follows them.
+		for _, idx := range sock.outIdx[n:] {
 			e := &batch[idx]
-			if j < n {
-				if retrans {
-					q.trackUDP(sock, e.Message)
-				}
-				q.accountSend(e, at)
-			} else {
-				// Send guarantees n < len(out) implies err != nil.
-				q.fail(e, err)
+			if retrans {
+				sock.untrackUDP(e.Message)
 			}
+			q.en.sent.Add(-1)
+			q.fail(e, err)
 		}
 		sock.out = sock.out[:0]
 		sock.outIdx = sock.outIdx[:0]
@@ -161,8 +166,11 @@ func (q *querier) sendBatch(batch []trace.Entry) {
 	q.dirty = q.dirty[:0]
 }
 
-// accountSend settles a successful transmission: counters, the
-// scheduling-error sample, and the OnSend callback.
+// accountSend records a transmission about to be made: counters, the
+// scheduling-error sample, the OnSend callback and the qlog event. It
+// runs before the syscall, so at — and with it the scheduling error — is
+// when the query was handed to the kernel, not when the kernel was done
+// with the batch it rode in.
 //
 //ldlint:noalloc
 func (q *querier) accountSend(e *trace.Entry, at time.Time) {
@@ -325,9 +333,9 @@ func (q *querier) getUDP(src netip.Addr) (*udpSocket, error) {
 	return sock, nil
 }
 
-// trackUDP registers a just-sent query in its pending shard and arms its
-// retry slot on the timing wheel. Only called when UDPRetries > 0;
-// fire-and-forget sends skip it (sendBatch) and rely on the answered
+// trackUDP registers a query about to be sent in its pending shard and
+// arms its retry slot on the timing wheel. Only called when UDPRetries >
+// 0; fire-and-forget sends skip it (sendBatch) and rely on the answered
 // ring for duplicate detection.
 //
 //ldlint:noalloc
@@ -360,6 +368,22 @@ func (q *querier) trackUDP(sock *udpSocket, msg []byte) {
 	if retrans {
 		q.wheel.scheduleRetrans(q.en.cfg.UDPRetryTimeout, q, sock, id, seq)
 	}
+}
+
+// untrackUDP cancels the pending slot trackUDP made for msg when its send
+// failed; the armed retry slot goes stale. A slot since taken over by
+// another query with the same ID is left alone.
+func (sock *udpSocket) untrackUDP(msg []byte) {
+	if len(msg) < 2 {
+		return
+	}
+	id := uint16(msg[0])<<8 | uint16(msg[1])
+	sh := sock.shard(id)
+	sh.mu.Lock()
+	if pq, ok := sh.pending[id]; ok && len(pq.wire) > 0 && &pq.wire[0] == &msg[0] {
+		delete(sh.pending, id)
+	}
+	sh.mu.Unlock()
 }
 
 // retransmitUDP fires when a retry slot expires: re-send a still-pending
@@ -505,7 +529,12 @@ func (q *querier) recordRTT(lastSend *atomic.Int64) {
 	}
 }
 
-func (q *querier) sendStream(e trace.Entry) error {
+// sendStream writes e to its source's connection, reconnecting up to
+// StreamAttempts times. The send is recorded once, before the first write
+// (a response can come back before Write returns) and after the
+// connection exists, so connection set-up is not in the send stamp; a
+// query no attempt delivered is taken back and returned as an error.
+func (q *querier) sendStream(e *trace.Entry) error {
 	target := q.en.cfg.TCPTarget
 	if e.Protocol == trace.TLS {
 		target = q.en.cfg.TLSTarget
@@ -515,11 +544,19 @@ func (q *querier) sendStream(e trace.Entry) error {
 	}
 	key := streamKey{addr: e.Src.Addr(), proto: e.Protocol}
 
+	var err error = errConnBroken{}
+	accounted := false
 	for attempt := 0; attempt < q.en.cfg.StreamAttempts; attempt++ {
 		//ldlint:ignore noallocprop lazy per-stream connection setup: the dial path allocates once per stream, then every entry reuses it
-		sc, err := q.getStream(key, e.Protocol, target)
-		if err != nil {
-			return err
+		sc, derr := q.getStream(key, e.Protocol, target)
+		if derr != nil {
+			err = derr
+			break
+		}
+		now := q.en.clock.Now()
+		if !accounted {
+			accounted = true
+			q.accountSend(e, now)
 		}
 		sc.mu.Lock()
 		if sc.closed {
@@ -528,20 +565,20 @@ func (q *querier) sendStream(e trace.Entry) error {
 			q.en.retries.Add(1)
 			continue // reconnect once
 		}
-		err = authserver.WriteTCPMessage(sc.conn, e.Message)
-		sc.lastUsed = q.en.clock.Now()
-		if err == nil {
-			sc.lastSend.Store(sc.lastUsed.UnixNano())
-		}
+		sc.lastUsed = now
+		sc.lastSend.Store(now.UnixNano())
+		werr := authserver.WriteTCPMessage(sc.conn, e.Message)
 		sc.mu.Unlock()
-		if err != nil {
-			q.dropStream(key, sc)
-			q.en.retries.Add(1)
-			continue
+		if werr == nil {
+			return nil
 		}
-		return nil
+		q.dropStream(key, sc)
+		q.en.retries.Add(1)
 	}
-	return errConnBroken{}
+	if accounted {
+		q.en.sent.Add(-1)
+	}
+	return err
 }
 
 func (q *querier) getStream(key streamKey, proto trace.Protocol, target string) (*streamConn, error) {

@@ -126,7 +126,12 @@ type Config struct {
 	Qlog *qlog.Pipeline
 
 	// OnSend, if set, observes every transmitted query with the actual
-	// send time and the scheduling error versus the ideal trace time.
+	// send time and the scheduling error versus the ideal trace time. It
+	// runs just before the syscall that transmits the query, so that no
+	// response can be observed ahead of its send: at is when the query
+	// was handed to the kernel, the scheduling error excludes the time
+	// the kernel spends on the batch, and a send that then fails is
+	// followed by OnError for the same entry.
 	OnSend func(e *trace.Entry, at time.Time, schedErr time.Duration)
 	// OnResponse, if set, observes every response with its arrival time.
 	OnResponse func(msg []byte, at time.Time)
@@ -154,6 +159,16 @@ type Stats struct {
 	Duplicates int64
 	Sources    int
 	Duration   time.Duration
+
+	// WheelWakeups counts the timing wheels' timed waits and WheelSpin the
+	// time they then spent spinning to release instants: WheelSpin over
+	// Duration near 1 means pacing is burning a core. WakeOvershootP50 and
+	// P99 say how late those waits returned, over the engine's lifetime.
+	// All zero for a fast-mode run without retransmissions.
+	WheelWakeups     int64
+	WheelSpin        time.Duration
+	WakeOvershootP50 time.Duration
+	WakeOvershootP99 time.Duration
 }
 
 // Engine replays traces against live servers.
@@ -186,6 +201,10 @@ type Engine struct {
 	// wheelLag is the most recent timing-wheel scheduling debt in
 	// nanoseconds (how far tick processing trails the wall clock).
 	wheelLag atomic.Int64
+	// wheel is the wheels' wait accounting, summed over distributors. Its
+	// overshoot histogram is the engine's own until Instrument swaps in
+	// the registry's, and is never reset: it spans the engine's lifetime.
+	wheel wheelStats
 
 	seed maphash.Seed
 }
@@ -217,6 +236,10 @@ func (en *Engine) Instrument(reg *obs.Registry) {
 		return 0
 	})
 	reg.GaugeFunc("ldplayer_wheel_lag_ns", "", "timing-wheel scheduling debt (ns)", en.wheelLag.Load)
+	reg.GaugeFunc("ldplayer_wheel_guard_ns", "", "how far ahead of a release the timing wheel stops sleeping and spins (ns)", en.wheel.guard.Load)
+	reg.CounterFunc("ldplayer_wheel_wakeups_total", "", "timing-wheel timed waits that ran to their deadline", en.wheel.wakeups.Load)
+	reg.CounterFunc("ldplayer_wheel_spin_ns_total", "", "time the timing wheel spent spinning to release instants (ns)", en.wheel.spinNs.Load)
+	en.wheel.overshoot.Store(reg.Histogram("ldplayer_wheel_wake_overshoot_ns", "", "how long after its deadline a timing-wheel wait returned (ns)"))
 	en.latency.Store(reg.Histogram("ldplayer_rtt_ns", "", "send to response round trip (ns)"))
 	en.schedErrHist.Store(reg.Histogram("ldplayer_sched_err_ns", "", "send scheduling error vs ideal trace time (ns)"))
 	en.batchSizeHist.Store(reg.Histogram("ldplayer_send_batch_size", "", "messages per batched UDP send"))
@@ -254,7 +277,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.TLSTarget != "" && cfg.TLSConfig == nil {
 		return nil, errors.New("replay: TLS target without TLSConfig")
 	}
-	return &Engine{cfg: cfg, clock: vclock.Or(cfg.Clock), seed: maphash.MakeSeed()}, nil
+	en := &Engine{cfg: cfg, clock: vclock.Or(cfg.Clock), seed: maphash.MakeSeed()}
+	en.wheel.overshoot.Store(&obs.Histogram{})
+	return en, nil
 }
 
 // syncPoint is the broadcast time synchronization: trace epoch and the
@@ -540,6 +565,8 @@ func (en *Engine) resetCounters() {
 	en.udpRetransmits.Store(0)
 	en.giveups.Store(0)
 	en.dupResponses.Store(0)
+	en.wheel.wakeups.Store(0)
+	en.wheel.spinNs.Store(0)
 }
 
 // finish is the shared run tail: wait out the response grace period,
@@ -562,7 +589,7 @@ func (en *Engine) finish(start time.Time, sources *sourceTracker, dists []*distr
 	if missing := en.sent.Load() - en.responses.Load(); missing > 0 {
 		en.unanswered.Store(missing)
 	}
-	return &Stats{
+	st := &Stats{
 		Sent:           en.sent.Load(),
 		Responses:      en.responses.Load(),
 		Errors:         en.errorsCount.Load(),
@@ -575,7 +602,14 @@ func (en *Engine) finish(start time.Time, sources *sourceTracker, dists []*distr
 		Duplicates:     en.dupResponses.Load(),
 		Sources:        sources.count(),
 		Duration:       en.clock.Now().Sub(start),
+		WheelWakeups:   en.wheel.wakeups.Load(),
+		WheelSpin:      time.Duration(en.wheel.spinNs.Load()),
 	}
+	if over := en.wheel.overshoot.Load().Snapshot(); over.Count > 0 {
+		st.WakeOvershootP50 = time.Duration(over.Quantile(0.5))
+		st.WakeOvershootP99 = time.Duration(over.Quantile(0.99))
+	}
+	return st
 }
 
 // outstanding is the number of sent queries neither answered nor given
@@ -643,6 +677,7 @@ func newDistributor(en *Engine, idx int, sources *sourceTracker) *distributor {
 			d.queriers[qidx].sendBatch(b)
 			putBatch(b)
 		})
+	d.wheel.stats.Store(&en.wheel)
 	// Bounded lookahead: never schedule further ahead than a second (or
 	// half the wheel's horizon, if smaller), so the wheel's live-item
 	// footprint is proportional to rate, not trace length, and freed

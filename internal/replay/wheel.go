@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ldplayer/internal/netio"
+	"ldplayer/internal/obs"
 	"ldplayer/internal/trace"
 	"ldplayer/internal/vclock"
 )
@@ -65,23 +67,41 @@ func (l *slotList) push(it *wheelItem) {
 	l.tail = it
 }
 
-// The release loop sleeps coarsely and spins the final stretch: OS/timer
-// wakeups here are 1ms+ late, far worse than the pacing budget, so the
-// wheel wakes spinBudget early on a timer and then yields in a
-// time.Now() loop until the exact release instant. When the wheel is
-// empty it parks on the kick channel (poked by inserts that beat the
-// current sleep target), re-checking at idleRecheck as a backstop.
+// The release loop sleeps to just short of the next due tick and spins
+// the rest: it blocks on a netio.Sleeper until target − guard, where guard
+// is the sleeper's own measured wake overshoot, and then holds the CPU to
+// the exact release instant. spinBudget and tightSpin bound the guard:
+// never less than tightSpin, so a scheduler round-trip cannot push a
+// release past its deadline, and never more than spinBudget, which is
+// also the fixed guard of a platform whose sleeper is a Go timer (wakeups
+// there are a millisecond late, far worse than the pacing budget). An
+// empty wheel parks until an insert wakes it; under a SimClock it keeps
+// re-checking at idleRecheck of virtual time.
 const (
 	spinBudget  = 2 * time.Millisecond
 	tightSpin   = 30 * time.Microsecond
 	idleRecheck = 100 * time.Millisecond
 )
 
+// wheelStats is what an engine's wheels report about their own waiting:
+// the numbers that say whether pacing sleeps or burns a core.
+type wheelStats struct {
+	// wakeups counts timed waits that ran to their deadline; spinNs is
+	// the time spent spinning from those wakes to the release instants.
+	wakeups atomic.Int64
+	spinNs  atomic.Int64
+	// guard is the most recent guard, in nanoseconds.
+	guard atomic.Int64
+	// overshoot records how long after its deadline each timed wait
+	// returned, in nanoseconds.
+	overshoot atomic.Pointer[obs.Histogram]
+}
+
 type wheel struct {
 	// clock is the wheel's tick source. Real by default; under a
-	// SimClock the release loop sleeps on virtual timers and skips the
-	// sub-millisecond spin (spinning would busy-wait forever — simulated
-	// time only moves through events).
+	// SimClock the release loop sleeps on virtual timers and never spins
+	// (spinning would busy-wait forever — simulated time only moves
+	// through events).
 	clock vclock.Clock
 	tick  time.Duration
 	mask  int64
@@ -96,7 +116,7 @@ type wheel struct {
 	cur         int64 // next tick to process
 	free        *wheelItem
 	// sleepTick is the tick the release loop is currently sleeping
-	// toward; an insert due sooner pokes the kick channel.
+	// toward; an insert due sooner wakes the sleeper.
 	sleepTick int64
 
 	// paced counts kindEntry items not yet delivered; the distributor
@@ -109,10 +129,17 @@ type wheel struct {
 	deliver func(qidx int32, batch []trace.Entry)
 	scratch [][]trace.Entry // per-querier batch assembly, advance only
 
-	kick     chan struct{}
-	stopCh   chan struct{}
-	doneCh   chan struct{}
-	stopOnce sync.Once
+	// sleeper is where the release loop waits; inserts and stop wake it.
+	sleeper *netio.Sleeper
+	stopped atomic.Bool
+	doneCh  chan struct{}
+
+	// overMean and overDev estimate the sleeper's wake overshoot (mean
+	// and mean deviation, nanoseconds; release loop only). overMean < 0
+	// until the first sample.
+	overMean, overDev int64
+	// stats, when set, receives the loop's wait accounting.
+	stats atomic.Pointer[wheelStats]
 }
 
 // newWheel sizes a wheel: tick granularity, a power-of-two slot count,
@@ -131,11 +158,11 @@ func newWheel(clk vclock.Clock, tick time.Duration, slots, queriers int, lag *at
 		lag:     lag,
 		deliver: deliver,
 		scratch: make([][]trace.Entry, queriers),
-		kick:    make(chan struct{}, 1),
-		stopCh:  make(chan struct{}),
+		sleeper: netio.NewSleeper(),
 		doneCh:  make(chan struct{}),
 	}
 	w.sleepTick = 1 << 62
+	w.overMean = -1
 	go w.run()
 	return w
 }
@@ -209,10 +236,7 @@ func (w *wheel) insert(it *wheelItem) {
 	}
 	if it.dueTick < w.sleepTick {
 		w.sleepTick = it.dueTick
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
+		w.sleeper.Wake()
 	}
 }
 
@@ -274,7 +298,7 @@ func (w *wheel) rescanOverflow() {
 
 // nextDue finds the earliest scheduled tick and records it as the sleep
 // target (under the lock, so a racing insert either is seen by this scan
-// or sees the fresh target and kicks).
+// or sees the fresh target and wakes the sleeper).
 func (w *wheel) nextDue() (int64, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -314,86 +338,115 @@ func (w *wheel) nextDue() (int64, bool) {
 	return best, true
 }
 
-// run is the release loop: process due ticks, then sleep coarsely toward
-// the next scheduled tick and spin the last spinBudget for a release
-// precision far under the timer subsystem's wakeup latency.
+// run is the release loop: process due ticks, then wait for the next
+// scheduled one.
 func (w *wheel) run() {
 	defer close(w.doneCh)
-	realTime := vclock.IsReal(w.clock)
-	timer := w.clock.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C()
+	defer w.sleeper.Close()
+	if !vclock.IsReal(w.clock) {
+		w.runSim()
+		return
 	}
-	sleep := func(d time.Duration) (kicked bool) {
-		timer.Reset(d)
-		select {
-		case <-w.stopCh:
-			if !timer.Stop() {
-				<-timer.C()
-			}
-			return false
-		case <-w.kick:
-			if !timer.Stop() {
-				<-timer.C()
-			}
-			return true
-		case <-timer.C():
-			return false
-		}
-	}
-	for {
-		select {
-		case <-w.stopCh:
-			return
-		default:
-		}
+	for !w.stopped.Load() {
 		w.advance(w.clock.Now())
-		next, ok := w.nextDue()
-		if !ok {
-			sleep(idleRecheck)
-			continue
-		}
-		target := w.start.Add(time.Duration(next) * w.tick)
-		if !realTime {
-			// Simulated time: sleep the exact remaining distance — the
-			// SimClock jumps straight to the due instant, so there is no
-			// wakeup latency to spin away (and a spin would never end:
-			// virtual time doesn't flow while this goroutine runs).
-			if dt := target.Sub(w.clock.Now()); dt > 0 {
-				sleep(dt)
-			}
-			continue
-		}
-		if dt := time.Until(target); dt > spinBudget {
-			if sleep(dt-spinBudget) || isStopped(w.stopCh) {
-				continue // re-evaluate: earlier work arrived or stopping
-			}
-		}
-		// Yield while far out; hold the CPU for the final tightSpin so a
-		// scheduler round-trip can't push the release past the deadline.
-		for {
-			rem := time.Until(target)
-			if rem <= 0 {
-				break
-			}
-			select {
-			case <-w.stopCh:
-				return
-			default:
-			}
-			if rem > tightSpin {
-				runtime.Gosched()
-			}
+		if next, ok := w.nextDue(); ok {
+			w.waitUntil(w.start.Add(time.Duration(next) * w.tick))
+		} else {
+			w.sleeper.Park(nil)
 		}
 	}
 }
 
-func isStopped(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
+// runSim is the release loop in simulated time: sleep the exact remaining
+// distance on a virtual timer — the SimClock jumps straight to the due
+// instant, so there is no wakeup latency to spin away (and a spin would
+// never end: virtual time doesn't flow while this goroutine runs).
+func (w *wheel) runSim() {
+	timer := w.clock.NewTimer(time.Hour)
+	if !timer.Stop() {
+		<-timer.C()
+	}
+	for !w.stopped.Load() {
+		w.advance(w.clock.Now())
+		d := idleRecheck
+		if next, ok := w.nextDue(); ok {
+			d = w.start.Add(time.Duration(next) * w.tick).Sub(w.clock.Now())
+		}
+		if d <= 0 {
+			continue
+		}
+		timer.Reset(d)
+		if w.sleeper.Park(timer.C()) && !timer.Stop() {
+			<-timer.C()
+		}
+	}
+}
+
+// waitUntil returns at target, or sooner when an insert or stop wakes the
+// sleeper. It sleeps to target − guard and spins the residual. The guard
+// is what the sleeper has been seen to need: mean wake overshoot plus four
+// mean deviations (the retransmission-timer estimator, gains 1/8 and
+// 1/4), within [tightSpin, spinBudget].
+//
+//ldlint:noalloc
+func (w *wheel) waitUntil(target time.Time) {
+	guard := spinBudget
+	if netio.PreciseSleep {
+		// Before the first sample (overMean −1) this is tightSpin.
+		guard = min(max(time.Duration(w.overMean+4*w.overDev), tightSpin), spinBudget)
+	}
+	rem := time.Until(target)
+	if rem > guard {
+		if w.sleeper.Until(target.Add(-guard)) {
+			return // re-evaluate: earlier work arrived or stopping
+		}
+		rem = time.Until(target)
+		w.observeWake(guard-rem, guard)
+	} else if w.overMean > 0 {
+		// The guard covers the whole gap, so no wait and no sample. Shrink
+		// the estimate: a guard inflated by a burst of late wakes (the
+		// host took the CPU away) must not keep itself from ever sleeping,
+		// and so from ever measuring, again.
+		w.overMean -= w.overMean / 4
+		w.overDev -= w.overDev / 4
+	}
+	spun := rem
+	for rem > 0 && !w.stopped.Load() {
+		// Yield only from an unlocked goroutine: on the precise sleeper's
+		// locked thread a Gosched parks the thread and bounces its P
+		// through another one, which costs more than the spin it saves.
+		if !netio.PreciseSleep && rem > tightSpin {
+			runtime.Gosched()
+		}
+		rem = time.Until(target)
+	}
+	if st := w.stats.Load(); st != nil && spun > 0 {
+		st.spinNs.Add(int64(spun - rem))
+	}
+}
+
+// observeWake folds one timed wait's overshoot — how long after its
+// deadline the sleeper returned — into the guard estimate and the stats.
+//
+//ldlint:noalloc
+func (w *wheel) observeWake(over, guard time.Duration) {
+	// A sample beyond the guard's upper bound says no more than the bound
+	// does; unclamped, one descheduled wake would pin the guard for long.
+	o := int64(min(max(over, 0), spinBudget))
+	if w.overMean < 0 {
+		w.overMean, w.overDev = o, o/2
+	} else {
+		err := o - w.overMean
+		w.overMean += err / 8
+		if err < 0 {
+			err = -err
+		}
+		w.overDev += (err - w.overDev) / 4
+	}
+	if st := w.stats.Load(); st != nil {
+		st.wakeups.Add(1)
+		st.guard.Store(int64(guard))
+		st.overshoot.Load().Record(int64(over))
 	}
 }
 
@@ -505,7 +558,8 @@ func (w *wheel) discardPaced() {
 
 // stop terminates the wheel goroutine and drops all scheduled work.
 func (w *wheel) stop() {
-	w.stopOnce.Do(func() { close(w.stopCh) })
+	w.stopped.Store(true)
+	w.sleeper.Wake()
 	<-w.doneCh
 }
 

@@ -4,11 +4,13 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ldplayer/internal/obs"
 	"ldplayer/internal/trace"
 	"ldplayer/internal/vclock"
 )
@@ -227,36 +229,54 @@ func TestWheelRetransCancelledByAnswer(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeakAfterReplay runs a full replay with armed
-// retransmissions against a blackhole and expects every engine goroutine
-// — wheel, socket readers, distributors — to exit once Replay returns.
+// TestNoGoroutineLeakAfterReplay runs full replays with armed
+// retransmissions against a blackhole, a fresh engine each time, and
+// expects every engine goroutine — wheel, socket readers, distributors —
+// to exit once Replay returns, and the wheels' sleeper threads to go back
+// to the runtime: neither goroutines nor OS threads may pile up.
 func TestNoGoroutineLeakAfterReplay(t *testing.T) {
 	addr, _ := recordingServer(t)
-	before := runtime.NumGoroutine()
-
-	en, err := New(Config{
-		UDPTarget:       addr,
-		UDPRetries:      2,
-		UDPRetryTimeout: 20 * time.Millisecond,
-		DrainTimeout:    500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	goroutines := runtime.NumGoroutine()
+	cycle := func() {
+		en, err := New(Config{
+			UDPTarget:       addr,
+			UDPRetries:      2,
+			UDPRetryTimeout: 2 * time.Millisecond,
+			DrainTimeout:    500 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := makeTrace(t, 32, 8, 0, trace.UDP)
+		st, err := en.Replay(t.Context(), trace.NewSliceReader(entries))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.WheelWakeups == 0 {
+			t.Fatal("no timed wheel wait: the retransmission deadlines never armed a sleeper")
+		}
 	}
-	entries := makeTrace(t, 32, 8, 0, trace.UDP)
-	if _, err := en.Replay(t.Context(), trace.NewSliceReader(entries)); err != nil {
-		t.Fatal(err)
+	cycle() // warm the runtime's thread pool
+	threads := pprof.Lookup("threadcreate")
+	threadsBefore := threads.Count()
+
+	const cycles = 50
+	for i := 0; i < cycles; i++ {
+		cycle()
 	}
 
+	if grew := threads.Count() - threadsBefore; grew > cycles/2 {
+		t.Errorf("%d replays left %d more OS threads", cycles, grew)
+	}
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
+		if runtime.NumGoroutine() <= goroutines {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("goroutines: %d before replay, %d after; wheel or socket reader leaked",
-		before, runtime.NumGoroutine())
+	t.Fatalf("goroutines: %d before %d replays, %d after; wheel or socket reader leaked",
+		goroutines, cycles, runtime.NumGoroutine())
 }
 
 // TestWheelUnderSimClock drives the wheel from a SimClock: entries are
@@ -333,5 +353,47 @@ func TestWheelUnderSimClock(t *testing.T) {
 	}
 	if w.pacedPending() != 0 {
 		t.Fatalf("pacedPending = %d after all releases", w.pacedPending())
+	}
+}
+
+// TestWheelWaitMetrics: a paced replay on an instrumented engine answers
+// "is this client burning a core?" from one scrape — timed waits, the time
+// spun after them, how late the waits returned and the guard in force —
+// and the same numbers come back in Stats.
+func TestWheelWaitMetrics(t *testing.T) {
+	addr, _ := recordingServer(t)
+	en, err := New(Config{UDPTarget: addr, DrainTimeout: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	en.Instrument(reg)
+	entries := makeTrace(t, 50, 2, 4*time.Millisecond, trace.UDP) // gaps over spinBudget: every platform sleeps
+	st, err := en.Replay(t.Context(), trace.NewSliceReader(entries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	find := func(name string) obs.Sample {
+		t.Helper()
+		s, ok := reg.Find(name, "")
+		if !ok {
+			t.Fatalf("series %s not registered", name)
+		}
+		return s
+	}
+	if got := find("ldplayer_wheel_wakeups_total").Value; got == 0 || got != st.WheelWakeups {
+		t.Errorf("wakeups series = %d, Stats.WheelWakeups = %d, want equal and > 0", got, st.WheelWakeups)
+	}
+	if got := find("ldplayer_wheel_spin_ns_total").Value; got <= 0 || got != int64(st.WheelSpin) {
+		t.Errorf("spin series = %d ns, Stats.WheelSpin = %v, want equal and > 0", got, st.WheelSpin)
+	}
+	if got := find("ldplayer_wheel_wake_overshoot_ns").Hist.Count; got != st.WheelWakeups {
+		t.Errorf("overshoot histogram holds %d samples for %d wakeups", got, st.WheelWakeups)
+	}
+	if got := time.Duration(find("ldplayer_wheel_guard_ns").Value); got < tightSpin || got > spinBudget {
+		t.Errorf("guard gauge = %v, outside [%v, %v]", got, tightSpin, spinBudget)
+	}
+	if st.WakeOvershootP99 < st.WakeOvershootP50 {
+		t.Errorf("overshoot p50 %v above p99 %v", st.WakeOvershootP50, st.WakeOvershootP99)
 	}
 }
