@@ -47,9 +47,10 @@ race:
 # Flake hunt over the packages whose tests run against the wall clock and
 # real sockets: twenty repetitions under the race detector beside a busy
 # loop, so a send/record ordering race or a pacing assertion that only
-# holds on an idle box fails here, not once a month in CI. The hog is
-# killed however the tests end.
-FLAKE_PKGS ?= ./internal/replay ./internal/core ./internal/netio
+# holds on an idle box fails here, not once a month in CI. authserver is
+# here for the shards Engine.Respond lends from goroutine to goroutine,
+# SPSC qlog producers included. The hog is killed however the tests end.
+FLAKE_PKGS ?= ./internal/replay ./internal/core ./internal/netio ./internal/authserver
 flake:
 	@( while :; do :; done ) & hog=$$!; trap 'kill $$hog' EXIT; \
 	$(GO) test -count=20 -race $(FLAKE_PKGS)
@@ -57,9 +58,9 @@ flake:
 # A fast smoke run of the meta-DNS-server hot path: enough iterations to
 # exercise the cached, miss, and many-zone routes without benchmarking
 # noise dominating CI time. The EngineRespond benchmarks repeat one
-# question, so all but EngineRespondMiss measure cache hits;
-# ShardRespondMiss (a new name every iteration, inserted into a full
-# cache) and LookupNXDomainDNSSEC are the miss path.
+# question, so all but EngineRespondManyZones (cache off) measure cache
+# hits; ShardRespondMiss (a new name every iteration, inserted into a
+# full cache) and LookupNXDomainDNSSEC are the miss path.
 bench-smoke:
 	$(GO) test -run XXX -bench='EngineRespond|ShardRespondMiss' -benchtime=100x ./internal/authserver/
 	$(GO) test -run XXX -bench='LookupNXDomainDNSSEC' -benchtime=100x ./internal/zone/
@@ -121,11 +122,14 @@ sim-smoke:
 # byte-identical fixed point, and arbitrary block files must error
 # cleanly through the full open/index/parallel-decode path. The zone
 # target checks the compiled-index Lookup against the map-walking
-# reference on arbitrary (qname, qtype, DO).
+# reference on arbitrary (qname, qtype, DO); the authserver target
+# checks that a response-cache hit, a miss and a cache-off engine answer
+# arbitrary query bytes identically.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzMessageUnpack$$' -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run XXX -fuzz 'FuzzPackUnpackRoundTrip$$' -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run XXX -fuzz 'FuzzLookupDifferential$$' -fuzztime 5s ./internal/zone/
+	$(GO) test -run XXX -fuzz 'FuzzRespondHitVsMiss$$' -fuzztime 5s ./internal/authserver/
 	$(GO) test -run XXX -fuzz 'FuzzBlockRoundTrip$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockDecode$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockHeader$$' -fuzztime 5s ./internal/trace/

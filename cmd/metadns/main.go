@@ -165,9 +165,9 @@ func run(zoneFlags, viewFlags []string, udp, tcp, tlsAddr, tlsHost string, idle 
 		}
 	}
 
-	// The qlog pipeline attaches before Server.Start so batch shards bind
-	// their producers at creation; its defer is registered before the
-	// server's, so (LIFO) the pipeline drains after the listeners stop.
+	// The qlog pipeline attaches before Server.Start so the first query is
+	// logged; its defer is registered before the server's, so (LIFO) the
+	// pipeline drains after the listeners stop.
 	var qpipe *qlog.Pipeline
 	if qopts.Enabled() {
 		var err error

@@ -204,9 +204,8 @@ func TestShardRespondMissInsertAllocs(t *testing.T) {
 // engine with the cache off, and twice (miss, then hit) of one with it
 // on. All three responses must be the same bytes once the ID is masked —
 // the hit path patches a stored image, the miss path builds from the
-// zone, and nothing may tell them apart. (Names are lowercase: a miss
-// echoes the question lowercased where a hit echoes the client's 0x20
-// case, a difference older than this test and not its subject.)
+// zone, and nothing may tell them apart. FuzzRespondHitVsMiss asks the
+// same of arbitrary bytes.
 func TestCacheHitIdenticalToMiss(t *testing.T) {
 	cold, warm := hierarchyEngine(t), hierarchyEngine(t)
 	cold.SetResponseCacheCap(0)

@@ -29,7 +29,7 @@ func bigZone(t *testing.T) *zone.Zone {
 	mustRR(dnswire.RR{Name: "big.example.", Class: dnswire.ClassINET, TTL: 60, Data: dnswire.NS{Host: "ns.big.example."}})
 	for i := 0; i < 40; i++ {
 		mustRR(dnswire.RR{Name: "fat.big.example.", Class: dnswire.ClassINET, TTL: 60,
-			Data: dnswire.TXT{Strings: []string{strings.Repeat("x", 50) + string(rune('a' + i%26))}}})
+			Data: dnswire.TXT{Strings: []string{strings.Repeat("x", 50) + string(rune('a'+i%26))}}})
 	}
 	return z
 }
@@ -285,6 +285,7 @@ func TestShardsConcurrent(t *testing.T) {
 				}
 				if i%32 == 31 {
 					sh.EndBatch()
+					sh.BeginBatch()
 				}
 			}
 			sh.EndBatch()

@@ -3,7 +3,6 @@ package authserver
 import (
 	"fmt"
 	"net/netip"
-	"strings"
 	"testing"
 
 	"ldplayer/internal/dnswire"
@@ -11,35 +10,12 @@ import (
 	"ldplayer/internal/zone"
 )
 
-// benchEngine builds the three-level split-horizon engine for benchmarks.
-func benchEngine(b *testing.B) *Engine {
-	b.Helper()
-	parse := func(text, origin string) *zone.Zone {
-		z, err := zone.Parse(strings.NewReader(text), origin)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return z
-	}
-	e := NewEngine()
-	for _, v := range []*View{
-		{Name: "root", Sources: []netip.Addr{rootNSAddr}, Zones: []*zone.Zone{parse(rootZoneText, ".")}},
-		{Name: "com", Sources: []netip.Addr{comNSAddr}, Zones: []*zone.Zone{parse(comZoneText, "com.")}},
-		{Name: "example", Sources: []netip.Addr{exNSAddr}, Zones: []*zone.Zone{parse(exZoneText, "example.com.")}},
-	} {
-		if err := e.AddView(v); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return e
-}
-
 // BenchmarkEngineRespondAnswer measures the full query→response path of
 // the meta-DNS engine — view selection, lookup, packing — on an
 // authoritative answer: the per-query server cost behind Figure 9's
 // throughput ceiling.
 func BenchmarkEngineRespondAnswer(b *testing.B) {
-	e := benchEngine(b)
+	e := hierarchyEngine(b)
 	wire, err := dnswire.NewQuery(1, "www.example.com.", dnswire.TypeA).Pack(nil)
 	if err != nil {
 		b.Fatal(err)
@@ -59,7 +35,7 @@ func BenchmarkEngineRespondAnswer(b *testing.B) {
 // lifecycle span on sampled ones. The delta against the uninstrumented
 // benchmark is the total observability overhead (budget: <10%).
 func BenchmarkEngineRespondAnswerInstrumented(b *testing.B) {
-	e := benchEngine(b)
+	e := hierarchyEngine(b)
 	e.Instrument(obs.NewRegistry(), obs.NewTracer(1024, 1), DefaultObsSampleEvery)
 	wire, err := dnswire.NewQuery(1, "www.example.com.", dnswire.TypeA).Pack(nil)
 	if err != nil {
@@ -77,7 +53,7 @@ func BenchmarkEngineRespondAnswerInstrumented(b *testing.B) {
 // BenchmarkEngineRespondAnswerSampledAlways is the worst case: every query
 // pays two time.Now calls and a pooled span.
 func BenchmarkEngineRespondAnswerSampledAlways(b *testing.B) {
-	e := benchEngine(b)
+	e := hierarchyEngine(b)
 	e.Instrument(obs.NewRegistry(), obs.NewTracer(1024, 1), 1)
 	wire, err := dnswire.NewQuery(1, "www.example.com.", dnswire.TypeA).Pack(nil)
 	if err != nil {
@@ -95,7 +71,7 @@ func BenchmarkEngineRespondAnswerSampledAlways(b *testing.B) {
 // BenchmarkEngineRespondReferral measures the referral path from the root
 // view (the dominant response class in B-Root replay).
 func BenchmarkEngineRespondReferral(b *testing.B) {
-	e := benchEngine(b)
+	e := hierarchyEngine(b)
 	wire, err := dnswire.NewQuery(2, "www.example.com.", dnswire.TypeA).Pack(nil)
 	if err != nil {
 		b.Fatal(err)
@@ -112,7 +88,7 @@ func BenchmarkEngineRespondReferral(b *testing.B) {
 // BenchmarkEngineRespondDNSSEC measures a DO-bit query against the same
 // engine (signature-attachment path).
 func BenchmarkEngineRespondDNSSEC(b *testing.B) {
-	e := benchEngine(b)
+	e := hierarchyEngine(b)
 	q := dnswire.NewQuery(3, "www.example.com.", dnswire.TypeA)
 	q.Edns = &dnswire.EDNS{UDPSize: 4096, DO: true}
 	wire, err := q.Pack(nil)
@@ -132,7 +108,7 @@ func BenchmarkEngineRespondDNSSEC(b *testing.B) {
 // repeated identical questions are answered from the cache by patching a
 // copy of the stored wire image (≤1 alloc/op — the caller-owned copy).
 func BenchmarkEngineRespondCached(b *testing.B) {
-	e := benchEngine(b)
+	e := hierarchyEngine(b)
 	wire, err := dnswire.NewQuery(4, "www.example.com.", dnswire.TypeA).Pack(nil)
 	if err != nil {
 		b.Fatal(err)
@@ -150,25 +126,6 @@ func BenchmarkEngineRespondCached(b *testing.B) {
 	b.StopTimer()
 	if cs := e.CacheStats(); cs.Hits < int64(b.N) {
 		b.Fatalf("cache hits = %d, want ≥ %d", cs.Hits, b.N)
-	}
-}
-
-// BenchmarkEngineRespondMiss measures the full parse→route→lookup→pack
-// path with the response cache disabled: the cost of every first-seen
-// question, and the baseline the cache is compared against.
-func BenchmarkEngineRespondMiss(b *testing.B) {
-	e := benchEngine(b)
-	e.SetResponseCacheCap(0)
-	wire, err := dnswire.NewQuery(5, "www.example.com.", dnswire.TypeA).Pack(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Respond(wire, exNSAddr, UDP); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -222,9 +179,10 @@ func BenchmarkEngineRespondManyZones(b *testing.B) {
 // unpack, zone lookup (NXDOMAIN with DO from the root), pack — and its
 // response is inserted into a shard cache that is already full. Every
 // iteration asks a new name, so unlike the EngineRespond benchmarks above
-// (one question repeated: hits) this one cannot hit.
+// (one question repeated: hits, unless they turn the cache off) this one
+// cannot hit.
 func BenchmarkShardRespondMiss(b *testing.B) {
-	e := benchEngine(b)
+	e := hierarchyEngine(b)
 	sh := e.NewShard()
 	slab := make([]byte, 0, 4096)
 	junk := newJunkQuery(b)

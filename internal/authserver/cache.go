@@ -2,8 +2,6 @@ package authserver
 
 import (
 	"encoding/binary"
-	"sync"
-	"sync/atomic"
 
 	"ldplayer/internal/dnswire"
 )
@@ -20,7 +18,7 @@ import (
 // m[string(key)] compiles to a no-allocation lookup):
 //
 //	lowercased qname in wire form (length-prefixed labels, no terminator)
-//	qtype (2) | qclass (2) | flag byte | effective UDP limit (2)
+//	qtype (2) | qclass (2) | flag byte | effective UDP limit (2) | view id (4)
 const (
 	keyDO      = 1 << 0 // query asked for DNSSEC records
 	keyHasEDNS = 1 << 1 // response must echo an OPT
@@ -30,15 +28,15 @@ const (
 // buildCacheKey validates that query has the canonical cacheable shape —
 // opcode QUERY, QR clear, exactly one question with an uncompressed
 // qname, no answer/authority records, and at most a well-formed OPT in
-// additional — and assembles the cache key into sc.key. It returns the
-// wire length of the question name (for ID/question patching) and
-// whether the query is cacheable. Anything unusual (compression pointers
-// in the qname, TSIG, multiple questions) falls back to the slow path
-// and is simply not cached, which keeps hit behaviour bit-identical to
-// the slow path by construction.
+// additional — and assembles the cache key for that question asked of
+// view into sc.key. It returns the wire length of the question name (for
+// ID/question patching) and whether the query is cacheable. Anything
+// unusual (compression pointers in the qname, TSIG, multiple questions)
+// falls back to the slow path and is simply not cached, which keeps hit
+// behaviour bit-identical to the slow path by construction.
 //
 //ldlint:noalloc
-func buildCacheKey(sc *scratch, query []byte, transport Transport) (int, bool) {
+func buildCacheKey(sc *scratch, query []byte, transport Transport, view uint32) (int, bool) {
 	if len(query) < 12 {
 		return 0, false
 	}
@@ -107,6 +105,19 @@ func buildCacheKey(sc *scratch, query []byte, transport Transport) (int, bool) {
 		if off+11+rdlen > len(query) {
 			return 0, false
 		}
+		// The options must parse, as the slow path insists: a malformed
+		// OPT is FORMERR there, and must not hit a well-formed query's
+		// entry here.
+		for opts := query[off+11 : off+11+rdlen]; len(opts) > 0; {
+			if len(opts) < 4 {
+				return 0, false
+			}
+			end := 4 + int(binary.BigEndian.Uint16(opts[2:]))
+			if len(opts) < end {
+				return 0, false
+			}
+			opts = opts[end:]
+		}
 		kf |= keyHasEDNS
 		if ttl&(1<<15) != 0 {
 			kf |= keyDO
@@ -120,14 +131,15 @@ func buildCacheKey(sc *scratch, query []byte, transport Transport) (int, bool) {
 		limit = 0 // normalize: stream responses are never truncated
 	}
 	key = append(key, kf, byte(limit>>8), byte(limit))
+	key = binary.BigEndian.AppendUint32(key, view)
 	sc.key = key
 	return qnameLen, true
 }
 
 // cacheEntry is one packed response, stored in the cache maps by value.
-// wire holds the full encoding with a zeroed ID and the canonical
-// (lowercase) question; truncated/refused/rcode replay the stat accounting
-// the original slow-path build performed.
+// wire holds the full encoding with a zeroed ID and the question as the
+// first asker spelled it (a hit overwrites both); truncated/refused/rcode
+// replay the stat accounting the original slow-path build performed.
 type cacheEntry struct {
 	wire      string
 	truncated bool
@@ -151,37 +163,11 @@ func newCacheEntry(sc *scratch, resp []byte, meta respMeta) (string, cacheEntry)
 	return img[:n], cacheEntry{wire: img[n:], truncated: meta.truncated, refused: meta.refused, rcode: meta.rcode}
 }
 
-// respCache is a bounded map from cache key to packed response. Reads
-// take an RLock; inserts are rare once the (bounded) key space has been
-// seen, so the write lock is effectively never contended at steady state.
-type respCache struct {
-	mu sync.RWMutex
-	m  map[string]cacheEntry
-
-	// evictions counts entries displaced at capacity (observability).
-	evictions atomic.Int64
-}
-
-func newRespCache() *respCache {
-	return &respCache{m: make(map[string]cacheEntry)}
-}
-
-// get returns the cached entry for key; ok is false on a miss. Entries
-// are immutable, so the copy is the caller's to read lock-free.
-//
-//ldlint:noalloc
-func (c *respCache) get(key []byte) (ent cacheEntry, ok bool) {
-	c.mu.RLock()
-	ent, ok = c.m[string(key)]
-	c.mu.RUnlock()
-	return ent, ok
-}
-
 // appendCached appends ent's packed response to dst, patched with query's
 // ID, RD bit, and question bytes (preserving the client's 0x20 label
 // case), and charges st's response counters exactly as the slow path
 // would have. With a nil dst the append is the contract's one allocation
-// per response; the batch path passes a reusable slab and allocates
+// per response; the serve loops pass a reusable buffer and allocate
 // nothing at steady state.
 //
 //ldlint:noalloc
@@ -218,31 +204,4 @@ func cacheInsert(m map[string]cacheEntry, key string, ent cacheEntry, capacity i
 	}
 	m[key] = ent
 	return evicted
-}
-
-// put stores a copy of out under the scratch key. The stored image gets a
-// zeroed ID (hits always overwrite it) but is otherwise byte-identical to
-// what the slow path returned.
-func (c *respCache) put(sc *scratch, out []byte, meta respMeta, capacity int) {
-	if capacity <= 0 || len(out) < 12+sc.qnameLen+4 {
-		return
-	}
-	key, ent := newCacheEntry(sc, out, meta)
-	c.mu.Lock()
-	c.evictions.Add(cacheInsert(c.m, key, ent, capacity))
-	c.mu.Unlock()
-}
-
-// len returns the current entry count.
-func (c *respCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// clear drops every entry.
-func (c *respCache) clear() {
-	c.mu.Lock()
-	c.m = make(map[string]cacheEntry)
-	c.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package authserver
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -236,7 +237,8 @@ func TestCacheRefusedAccounting(t *testing.T) {
 
 // TestConcurrentRespondWithRouting hammers Respond from many goroutines
 // — mixed qnames, transports, and DO bits — while views are concurrently
-// added, exercising the routing snapshot and cache under -race.
+// added, exercising the routing snapshot, the shard hand-off and the
+// caches under -race.
 func TestConcurrentRespondWithRouting(t *testing.T) {
 	e := hierarchyEngine(t)
 	var wg sync.WaitGroup
@@ -281,6 +283,10 @@ func TestConcurrentRespondWithRouting(t *testing.T) {
 	wg.Wait()
 	if st := e.Stats(); st.Queries != 8*300 || st.Responses != 8*300 {
 		t.Errorf("stats = %+v", st)
+	}
+	// Respond's callers share a few shards; they do not get one each.
+	if n, max := len(*e.shards.Load()), runtime.GOMAXPROCS(0); n > max {
+		t.Errorf("8 concurrent callers made %d shards, want ≤ GOMAXPROCS = %d", n, max)
 	}
 }
 

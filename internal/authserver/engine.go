@@ -10,21 +10,30 @@
 // The engine is transport-agnostic; UDP, TCP and TLS listeners (live mode)
 // and a netsim adapter (testbed mode) all feed it.
 //
+// There is one way to answer a query: EngineShard.AppendRespond
+// (shard.go). A shard is a goroutine-confined scratch, packed-response
+// cache, and counter set; the batched and per-datagram UDP loops each own
+// one, and everything else — TCP/TLS connections, the netsim adapter,
+// the experiments harness — goes through Engine.Respond, which borrows a
+// shard from a small engine-owned list for the length of one query.
+//
 // The query hot path is engineered for replay-scale rates (§4.5): view
 // routing is an atomically-swapped immutable snapshot (no per-packet
 // locks), zone selection is a longest-enclosing-origin suffix-map walk
 // (O(qname labels), not O(zones)), and fully-encoded responses are kept
-// in a per-view packed-response cache so repeated questions are answered
-// by patching two ID bytes and the echoed question into a copy of the
-// cached wire image. A question the cache has not seen takes the miss
-// path — unpack, zone lookup over the zone's compiled index, pack, cache
-// insert — which allocates the decoded qname and the cache's copy of the
-// response, and more only for wildcard and CNAME answers.
+// in the shard's packed-response cache, keyed by view, so repeated
+// questions are answered by patching two ID bytes and the echoed question
+// into a copy of the cached wire image. A question the cache has not
+// seen takes the miss path — unpack, zone lookup over the zone's compiled
+// index, pack, cache insert — which allocates the decoded qname and the
+// cache's copy of the response, and more only for wildcard and CNAME
+// answers.
 package authserver
 
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,27 +77,29 @@ type View struct {
 }
 
 // viewRoute is the immutable per-view runtime state built when the view
-// is registered: the origin suffix map for O(labels) zone selection and
-// the packed-response cache. Zones are immutable after load (§2.3 zone
-// files are fixed artifacts for a run), so neither structure ever needs
-// invalidation. Registering a view also compiles its zones' lookup
-// indexes, so serving never pays for that.
+// is registered: the origin suffix map for O(labels) zone selection.
+// Zones are immutable after load (§2.3 zone files are fixed artifacts for
+// a run), so it never needs invalidation. Registering a view also
+// compiles its zones' lookup indexes, so serving never pays for that.
 type viewRoute struct {
 	view *View
+	// id distinguishes this view's entries in the shard caches: it is
+	// part of every cache key, so one question cached for one view is
+	// never served to another.
+	id uint32
 	// zones maps canonical zone origin → zone.
 	zones map[string]*zone.Zone
-	cache *respCache
 	// queries counts queries routed to this view (exposed as
 	// metadns_view_queries_total{view=...} when instrumented).
 	queries atomic.Int64
 }
 
 // newViewRoute precomputes the routing state for v.
-func newViewRoute(v *View) *viewRoute {
+func newViewRoute(v *View, id uint32) *viewRoute {
 	vr := &viewRoute{
 		view:  v,
+		id:    id,
 		zones: make(map[string]*zone.Zone, len(v.Zones)),
-		cache: newRespCache(),
 	}
 	for _, z := range v.Zones {
 		// First zone with a given origin wins, matching the old
@@ -128,6 +139,8 @@ func (vr *viewRoute) zoneFor(qname string) *zone.Zone {
 type routing struct {
 	bySource    map[netip.Addr]*viewRoute
 	defaultView *viewRoute
+	// views counts the views registered so far; the next one's id.
+	views uint32
 }
 
 // route returns the view route matching src (or the default, or nil).
@@ -140,18 +153,15 @@ func (rt *routing) route(src netip.Addr) *viewRoute {
 	return rt.defaultView
 }
 
-// DefaultResponseCacheCap bounds each view's packed-response cache. The
+// DefaultResponseCacheCap bounds each shard's packed-response cache. The
 // recursive experiment's 549 zones stay well under it while replayed
 // B-Root traffic (heavy-tailed repeat questions) gets near-total hits.
 const DefaultResponseCacheCap = 8192
 
-// coreStats is one full set of per-query counters. The engine embeds one
-// instance charged by the shared Respond path (UDP fallback, TCP, TLS,
-// netsim); every EngineShard owns a private instance charged by its
-// batch path. Shard instances live on their own cache lines and are only
-// ever written by their owning worker goroutine, so the batched hot path
-// performs no cross-core counter contention; readers (Stats, obs scrape)
-// sum the engine instance and every shard instance.
+// coreStats is one full set of per-query counters. Every EngineShard
+// owns a private instance, written only by the goroutine that holds the
+// shard, so the hot path performs no cross-core counter contention;
+// readers (Stats, obs scrape) sum every shard's instance.
 type coreStats struct {
 	queries     atomic.Int64
 	responses   atomic.Int64
@@ -181,12 +191,19 @@ type Engine struct {
 	// snapshot at batch boundaries and clear on mismatch.
 	cacheGen atomic.Uint64
 
-	// coreStats is the shared-path counter set; see the type comment.
-	coreStats
-
-	// shards is the copy-on-write list of batch-path shards (read at
+	// shards is the copy-on-write list of every shard (read at
 	// Stats/scrape time, swapped under addMu by NewShard).
 	shards atomic.Pointer[[]*EngineShard]
+
+	// free stacks the idle shards of the few (lent counts them, at most
+	// cap(free)) that Respond lends out, one query at a time; freeBack
+	// wakes a borrower waiting for one. The lock hands a shard from one
+	// borrower to the next, so each is still used by one goroutine at a
+	// time.
+	freeMu   sync.Mutex
+	freeBack sync.Cond
+	free     []*EngineShard
+	lent     int
 
 	routingSwaps atomic.Int64
 
@@ -196,9 +213,9 @@ type Engine struct {
 	obsState atomic.Pointer[engineObs]
 	obsReg   *obs.Registry
 
-	// qlogSt enables per-query telemetry events when non-nil; see
+	// qlogPipe enables per-query telemetry events when non-nil; see
 	// SetQlog in qlog.go.
-	qlogSt atomic.Pointer[engineQlog]
+	qlogPipe atomic.Pointer[qlog.Pipeline]
 }
 
 // engineObs is the sampled-observability state installed by Instrument.
@@ -207,7 +224,7 @@ type engineObs struct {
 	latency *obs.Histogram // sampled Respond latency, nanoseconds
 	// mask gates sampling as queries&mask == 0 — the period is rounded up
 	// to a power of two so the hot path avoids an integer division, and
-	// the query counter the engine already increments doubles as the
+	// the query counter each shard already increments doubles as its
 	// sampling counter, so the gate costs no extra atomic.
 	mask uint64
 }
@@ -223,29 +240,21 @@ func NewEngine() *Engine {
 	e.cacheCap.Store(DefaultResponseCacheCap)
 	e.routing.Store(&routing{bySource: make(map[netip.Addr]*viewRoute)})
 	e.shards.Store(&[]*EngineShard{})
+	e.free = make([]*EngineShard, 0, runtime.GOMAXPROCS(0))
+	e.freeBack.L = &e.freeMu
 	return e
 }
 
-// SetResponseCacheCap sets the per-view packed-response cache capacity.
-// n <= 0 disables the cache entirely. Existing cached entries are
-// dropped so a smaller cap (or disablement) takes effect immediately.
+// SetResponseCacheCap sets how many packed responses each shard's cache
+// holds, over all views together. n <= 0 disables the cache entirely.
+// Existing cached entries are dropped so a smaller cap (or disablement)
+// takes effect immediately: a cache is its shard's alone to touch, so
+// bumping the generation makes each shard clear its map at its next
+// batch boundary, and CacheStats counts a shard that has yet to as empty.
 func (e *Engine) SetResponseCacheCap(n int) {
 	e.addMu.Lock()
 	defer e.addMu.Unlock()
 	e.cacheCap.Store(int64(n))
-	rt := e.routing.Load()
-	seen := make(map[*respCache]struct{})
-	for _, vr := range rt.bySource {
-		seen[vr.cache] = struct{}{}
-	}
-	if rt.defaultView != nil {
-		seen[rt.defaultView.cache] = struct{}{}
-	}
-	for c := range seen {
-		c.clear()
-	}
-	// Shard-local caches are owned by their worker goroutines; bumping the
-	// generation makes each shard clear its map at its next batch boundary.
 	e.cacheGen.Add(1)
 }
 
@@ -259,11 +268,12 @@ func (e *Engine) AddView(v *View) error {
 	next := &routing{
 		bySource:    make(map[netip.Addr]*viewRoute, len(cur.bySource)+len(v.Sources)),
 		defaultView: cur.defaultView,
+		views:       cur.views + 1,
 	}
 	for src, vr := range cur.bySource {
 		next.bySource[src] = vr
 	}
-	vr := newViewRoute(v)
+	vr := newViewRoute(v, cur.views)
 	if len(v.Sources) == 0 {
 		if cur.defaultView != nil {
 			return fmt.Errorf("authserver: second default view %q", v.Name)
@@ -383,8 +393,8 @@ type Stats struct {
 	ResponseBytes int64
 }
 
-// Stats returns a snapshot of the engine counters, summed across the
-// shared path and every batch shard.
+// Stats returns a snapshot of the engine counters, summed across every
+// shard.
 func (e *Engine) Stats() Stats {
 	var s Stats
 	e.eachStats(func(cs *coreStats) {
@@ -400,15 +410,14 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// eachStats visits the shared-path counter set and every shard's.
+// eachStats visits every shard's counter set.
 func (e *Engine) eachStats(f func(*coreStats)) {
-	f(&e.coreStats)
 	for _, sh := range *e.shards.Load() {
 		f(&sh.stats)
 	}
 }
 
-// sumCounter folds one counter across the shared path and all shards.
+// sumCounter folds one counter across all shards.
 func (e *Engine) sumCounter(get func(*coreStats) *atomic.Int64) int64 {
 	var n int64
 	e.eachStats(func(cs *coreStats) { n += get(cs).Load() })
@@ -424,35 +433,25 @@ type CacheStats struct {
 }
 
 // CacheStats returns hit/miss counters and the current entry and eviction
-// counts across every view's response cache and every shard-local cache.
+// counts across every shard's cache.
 func (e *Engine) CacheStats() CacheStats {
 	var st CacheStats
-	e.eachStats(func(cs *coreStats) {
-		st.Hits += cs.cacheHits.Load()
-		st.Misses += cs.cacheMisses.Load()
-	})
-	rt := e.routing.Load()
-	seen := make(map[*respCache]struct{})
-	for _, vr := range rt.bySource {
-		seen[vr.cache] = struct{}{}
-	}
-	if rt.defaultView != nil {
-		seen[rt.defaultView.cache] = struct{}{}
-	}
-	for c := range seen {
-		st.Entries += int64(c.len())
-		st.Evictions += c.evictions.Load()
-	}
+	gen := e.cacheGen.Load()
 	for _, sh := range *e.shards.Load() {
-		st.Entries += sh.cacheEntries.Load()
+		st.Hits += sh.stats.cacheHits.Load()
+		st.Misses += sh.stats.cacheMisses.Load()
+		// A shard behind the generation drops its entries before it next
+		// looks one up; they are gone already as far as a reader can tell.
+		if sh.gen.Load() == gen {
+			st.Entries += sh.cacheEntries.Load()
+		}
 		st.Evictions += sh.cacheEvictions.Load()
 	}
 	return st
 }
 
-// scratch bundles the per-call reusable state: unpack/response messages,
-// the pack buffer, the cache key, and the echoed OPT. Pooled so the
-// steady-state Respond path performs no per-query setup allocations.
+// scratch bundles a shard's reusable per-query state: unpack/response
+// messages, the pack buffer, the cache key, and the echoed OPT.
 type scratch struct {
 	q        dnswire.Message
 	resp     dnswire.Message
@@ -460,15 +459,6 @@ type scratch struct {
 	key      []byte
 	buf      []byte
 	qnameLen int
-}
-
-var scratchPool = sync.Pool{
-	New: func() any {
-		return &scratch{
-			key: make([]byte, 0, 280),
-			buf: make([]byte, 0, 2048),
-		}
-	},
 }
 
 // respMeta records which stat counters a packed response charged, so
@@ -488,80 +478,58 @@ type respMeta struct {
 //
 //ldlint:noalloc
 func (e *Engine) Respond(query []byte, src netip.Addr, transport Transport) ([]byte, error) {
-	qn := uint64(e.queries.Add(1))
-	e.queryBytes.Add(int64(len(query)))
-	if t := int(transport); t >= 0 && t < len(e.qByTransport) {
-		e.qByTransport[t].Add(1)
-	}
+	return e.respondBorrowed(nil, query, src, transport)
+}
 
-	// Sampled observability: the query counter gates; unsampled queries
-	// pay nothing further (span methods are nil-safe no-ops).
-	ob := e.obsState.Load()
-	var sp *obs.Span
-	var t0 time.Time
-	if ob != nil && qn&ob.mask == 0 {
-		t0 = time.Now()
-		sp = ob.tracer.Begin("query")
-		if sp != nil {
-			sp.Transport = transport.String()
-		}
-	}
-
-	vr := e.routing.Load().route(src)
-	if vr != nil {
-		vr.queries.Add(1)
-		if sp != nil {
-			sp.View = vr.view.Name
-		}
-	}
-	sp.Mark("view")
-
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-
-	qs := e.qlogSt.Load()
-	cacheable := false
-	qlen := 0
-	if vr != nil && e.cacheCap.Load() > 0 {
-		if qnameLen, ok := buildCacheKey(sc, query, transport); ok {
-			cacheable = true
-			qlen = qnameLen
-			sc.qnameLen = qnameLen
-			setSpanQName(sp, query[12:12+qnameLen])
-			if ent, ok := vr.cache.get(sc.key); ok {
-				e.cacheHits.Add(1)
-				out := appendCached(&e.coreStats, nil, ent, query, qnameLen)
-				if sp != nil {
-					sp.Detail = "cache_hit"
-					sp.Rcode = int(ent.rcode)
-				}
-				sp.Mark("cache_hit")
-				e.finishSample(ob, sp, t0)
-				if qs != nil {
-					e.qlogEmitShared(qs, query, src, transport, vr, qnameLen, ent.rcode, qlog.FlagCacheHit, t0)
-				}
-				return out, nil
-			}
-			e.cacheMisses.Add(1)
-		}
-	}
-
-	out, meta, err := e.respondSlow(&e.coreStats, sc, nil, query, vr, transport, sp)
-	if err == nil && cacheable && meta.cacheable {
-		vr.cache.put(sc, out, meta, int(e.cacheCap.Load()))
-	}
-	if sp != nil {
-		sp.Rcode = int(meta.rcode)
-	}
-	e.finishSample(ob, sp, t0)
-	if qs != nil {
-		var flags uint8
-		if err != nil || out == nil {
-			flags = qlog.FlagDropped
-		}
-		e.qlogEmitShared(qs, query, src, transport, vr, qlen, meta.rcode, flags, t0)
-	}
+// respondBorrowed answers one query through a borrowed shard, as a receive
+// batch of one: EngineShard.AppendRespond is the only implementation of
+// answering, and this is how callers with no shard of their own reach it.
+//
+//ldlint:noalloc
+func (e *Engine) respondBorrowed(dst, query []byte, src netip.Addr, transport Transport) ([]byte, error) {
+	sh := e.borrowShard()
+	defer e.returnShard(sh) // deferred: a shard lost to a panic would starve every later caller
+	sh.BeginBatch()
+	out, err := sh.AppendRespond(dst, query, src, transport)
+	sh.EndBatch()
 	return out, err
+}
+
+// borrowShard takes the most recently returned idle shard, makes one
+// while there are fewer than GOMAXPROCS (as of NewEngine), and otherwise
+// waits for one to come back. The wait is short and cannot deadlock: a
+// shard is only ever held across AppendRespond, which does not block, so
+// its holder is running or runnable, and no more goroutines than
+// GOMAXPROCS can be running. So however many callers there are — a
+// thousand TCP connections — they share that many caches, and a lone
+// caller always gets the same one.
+//
+//ldlint:noalloc
+func (e *Engine) borrowShard() *EngineShard {
+	e.freeMu.Lock()
+	for len(e.free) == 0 && e.lent == cap(e.free) {
+		e.freeBack.Wait()
+	}
+	if n := len(e.free); n > 0 {
+		sh := e.free[n-1]
+		e.free = e.free[:n-1]
+		e.freeMu.Unlock()
+		return sh
+	}
+	e.lent++
+	e.freeMu.Unlock()
+	//ldlint:ignore noallocprop cold: runs once per shard, GOMAXPROCS times at most
+	return e.NewShard()
+}
+
+// returnShard puts a borrowed shard back for the next caller.
+//
+//ldlint:noalloc
+func (e *Engine) returnShard(sh *EngineShard) {
+	e.freeMu.Lock()
+	e.free = append(e.free, sh) // within its capacity: lent ≤ cap(free)
+	e.freeMu.Unlock()
+	e.freeBack.Signal()
 }
 
 // finishSample records the sampled latency and publishes the span.
@@ -606,8 +574,7 @@ func setSpanQName(sp *obs.Span, wire []byte) {
 
 // respondSlow is the full parse → route → lookup → pack path, appending
 // the response to dst (nil dst yields a fresh caller-owned slice). st is
-// the counter set to charge — the engine's own on the shared path, a
-// shard's on the batch path. sp may be nil (unsampled).
+// the calling shard's counter set. sp may be nil (unsampled).
 //
 //ldlint:noalloc
 func (e *Engine) respondSlow(st *coreStats, sc *scratch, dst, query []byte, vr *viewRoute, transport Transport, sp *obs.Span) ([]byte, respMeta, error) {
@@ -660,7 +627,7 @@ func (e *Engine) respondSlow(st *coreStats, sc *scratch, dst, query []byte, vr *
 		st.refused.Add(1)
 		meta.refused = true
 		resp.Header.Rcode = dnswire.RcodeRefused
-		out, err := packResponse(st, sc, dst, resp, transport, udpLimit, &meta, sp)
+		out, err := packResponse(st, sc, dst, query, resp, transport, udpLimit, &meta, sp)
 		return out, meta, err
 	}
 
@@ -691,7 +658,7 @@ func (e *Engine) respondSlow(st *coreStats, sc *scratch, dst, query []byte, vr *
 		meta.refused = true
 		resp.Header.Rcode = dnswire.RcodeRefused
 	}
-	out, err := packResponse(st, sc, dst, resp, transport, udpLimit, &meta, sp)
+	out, err := packResponse(st, sc, dst, query, resp, transport, udpLimit, &meta, sp)
 	return out, meta, err
 }
 
@@ -705,14 +672,14 @@ func errUndecodable(err error) error {
 
 // packResponse encodes resp into the scratch buffer, applying UDP
 // truncation when necessary, and appends the encoding to dst. With a nil
-// dst the append is the response's one intended allocation (the shared
-// path's caller-owned copy); the batch path passes its reusable slab and
-// allocates nothing at steady state. Truncated responses shrink to the
+// dst the append is the response's one intended allocation (Respond's
+// caller-owned copy); the serve loops pass a reusable buffer and
+// allocate nothing at steady state. Truncated responses shrink to the
 // question + OPT, which also drops them out of any GSO run their
 // full-size siblings form (unequal sizes never coalesce).
 //
 //ldlint:noalloc
-func packResponse(st *coreStats, sc *scratch, dst []byte, resp *dnswire.Message, transport Transport, udpLimit int, meta *respMeta, sp *obs.Span) ([]byte, error) {
+func packResponse(st *coreStats, sc *scratch, dst, query []byte, resp *dnswire.Message, transport Transport, udpLimit int, meta *respMeta, sp *obs.Span) ([]byte, error) {
 	wire, err := resp.Pack(sc.buf[:0])
 	if err != nil {
 		return dst, err
@@ -732,6 +699,9 @@ func packResponse(st *coreStats, sc *scratch, dst []byte, resp *dnswire.Message,
 		}
 		sc.buf = wire[:0]
 	}
+	if !echoQuestion(wire, query) {
+		meta.cacheable = false
+	}
 	meta.rcode = resp.Header.Rcode
 	// The sections were views of zone data (zone.Result): drop them, so
 	// that the scratch message's next Reset cannot truncate one to [:0]
@@ -742,6 +712,25 @@ func packResponse(st *coreStats, sc *scratch, dst []byte, resp *dnswire.Message,
 	st.respBytes.Add(int64(len(wire)))
 	sp.Mark("pack")
 	return append(dst, wire...), nil
+}
+
+// echoQuestion overwrites the question name in a packed response with the
+// query's own bytes, and reports whether it could. Unpacking canonicalised
+// the name — lower case, and a dot inside a label became a label break —
+// but a client checks for the bytes it sent (DNS 0x20 mixes their case),
+// and a cache hit patches exactly those bytes over this span, so a miss
+// must return them too. It cannot when either name is compressed or
+// malformed or the two differ in length; the caller keeps such a response
+// out of the cache, where a later hit would patch the wrong span.
+//
+//ldlint:noalloc
+func echoQuestion(resp, query []byte) bool {
+	n := qlog.WireQNameLen(query)
+	if n == 0 || n != qlog.WireQNameLen(resp) {
+		return false
+	}
+	copy(resp[12:12+n], query[12:12+n])
+	return true
 }
 
 // errorResponse builds a minimal response with rcode from a raw query

@@ -42,7 +42,7 @@ www.example.com.	300	IN	A	192.0.2.80
 `
 
 // hierarchyEngine builds the three-level split-horizon engine of Fig 2.
-func hierarchyEngine(t *testing.T) *Engine {
+func hierarchyEngine(t testing.TB) *Engine {
 	t.Helper()
 	parse := func(text, origin string) *zone.Zone {
 		z, err := zone.Parse(strings.NewReader(text), origin)
@@ -83,35 +83,72 @@ func respond(t *testing.T, e *Engine, q *dnswire.Message, src netip.Addr, tr Tra
 
 // TestSplitHorizonSelectsZoneBySource is the heart of §2.4: the same query
 // content gets three different answers depending only on source address.
+// It asks through Engine.Respond and through one EngineShard — one cache
+// serving all three views, as a batch worker's does — and asks twice, so
+// the second round is answered from that cache.
 func TestSplitHorizonSelectsZoneBySource(t *testing.T) {
-	e := hierarchyEngine(t)
-	q := dnswire.NewQuery(1, "www.example.com.", dnswire.TypeA)
+	wire, err := dnswire.NewQuery(1, "www.example.com.", dnswire.TypeA).Pack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaRespond := func(e *Engine) func(netip.Addr) ([]byte, error) {
+		return func(src netip.Addr) ([]byte, error) { return e.Respond(wire, src, UDP) }
+	}
+	viaShard := func(e *Engine) func(netip.Addr) ([]byte, error) {
+		sh := e.NewShard()
+		return func(src netip.Addr) ([]byte, error) { return sh.AppendRespond(nil, wire, src, UDP) }
+	}
+	for _, path := range []struct {
+		name string
+		via  func(*Engine) func(netip.Addr) ([]byte, error)
+	}{{"respond", viaRespond}, {"one-shard", viaShard}} {
+		t.Run(path.name, func(t *testing.T) {
+			e := hierarchyEngine(t)
+			ask := path.via(e)
+			from := func(src netip.Addr) *dnswire.Message {
+				t.Helper()
+				out, err := ask(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp := new(dnswire.Message)
+				if err := resp.Unpack(out); err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			for _, round := range []string{"miss", "hit"} {
+				// From the root's address: referral to com.
+				resp := from(rootNSAddr)
+				if resp.Header.AA || len(resp.Answer) != 0 {
+					t.Errorf("%s: root view gave an answer: %+v", round, resp)
+				}
+				if len(resp.Authority) == 0 || resp.Authority[0].Name != "com." {
+					t.Errorf("%s: root view authority = %v", round, resp.Authority)
+				}
 
-	// From the root's address: referral to com.
-	resp := respond(t, e, q, rootNSAddr, UDP)
-	if resp.Header.AA || len(resp.Answer) != 0 {
-		t.Errorf("root view gave an answer: %+v", resp)
-	}
-	if len(resp.Authority) == 0 || resp.Authority[0].Name != "com." {
-		t.Errorf("root view authority = %v", resp.Authority)
-	}
+				// From com's address: referral to example.com.
+				resp = from(comNSAddr)
+				if len(resp.Authority) == 0 || resp.Authority[0].Name != "example.com." {
+					t.Errorf("%s: com view authority = %v", round, resp.Authority)
+				}
+				if len(resp.Additional) == 0 || resp.Additional[0].Data.String() != "192.0.2.1" {
+					t.Errorf("%s: com view glue = %v", round, resp.Additional)
+				}
 
-	// From com's address: referral to example.com.
-	resp = respond(t, e, q, comNSAddr, UDP)
-	if len(resp.Authority) == 0 || resp.Authority[0].Name != "example.com." {
-		t.Errorf("com view authority = %v", resp.Authority)
-	}
-	if len(resp.Additional) == 0 || resp.Additional[0].Data.String() != "192.0.2.1" {
-		t.Errorf("com view glue = %v", resp.Additional)
-	}
-
-	// From example.com's address: the authoritative answer.
-	resp = respond(t, e, q, exNSAddr, UDP)
-	if !resp.Header.AA {
-		t.Error("example view answer not authoritative")
-	}
-	if len(resp.Answer) != 1 || resp.Answer[0].Data.String() != "192.0.2.80" {
-		t.Errorf("example view answer = %v", resp.Answer)
+				// From example.com's address: the authoritative answer.
+				resp = from(exNSAddr)
+				if !resp.Header.AA {
+					t.Errorf("%s: example view answer not authoritative", round)
+				}
+				if len(resp.Answer) != 1 || resp.Answer[0].Data.String() != "192.0.2.80" {
+					t.Errorf("%s: example view answer = %v", round, resp.Answer)
+				}
+			}
+			if cs := e.CacheStats(); cs.Hits != 3 || cs.Misses != 3 {
+				t.Errorf("cache stats = %+v, want each view one miss then one hit", cs)
+			}
+		})
 	}
 }
 

@@ -8,48 +8,34 @@ import (
 	"ldplayer/internal/qlog"
 )
 
-// Query-log emit points. Each served query — batch path or shared path —
-// publishes exactly one event, so the pipeline's accounting invariant
-// (events + ring drops == engine queries) holds by construction. Batch
-// shards own SPSC producers (one worker goroutine each); the shared
-// Respond path (per-datagram UDP fallback, TCP, TLS, netsim adapters) is
-// multi-goroutine and goes through one mutex-guarded producer. Emitting
-// is stores into a ring slot — no syscall, no block, no allocation — and
-// a full ring sheds the event, never the response.
+// Query-log emit points. Each served query publishes exactly one event
+// from the shard that answered it, so the pipeline's accounting invariant
+// (events + ring drops == engine queries) holds by construction. Every
+// shard owns an SPSC producer — one goroutine holds a shard at a time,
+// whether it is a serve loop's own or borrowed through Engine.Respond —
+// so no emit takes a lock. Emitting is stores into a ring slot — no
+// syscall, no block, no allocation — and a full ring sheds the event,
+// never the response.
 
-// engineQlog is the telemetry state installed by SetQlog.
-type engineQlog struct {
-	pipe   *qlog.Pipeline
-	shared *qlog.LockedProducer
-}
-
-// SetQlog attaches (or, with nil, detaches for future shards) the
-// query-log pipeline. Call before Server.Start: batch shards bind their
-// producer at NewShard and never re-check, keeping the per-query path
-// free of an extra atomic load.
+// SetQlog attaches the query-log pipeline, or with nil detaches it.
+// Every shard, however long it has existed, follows at its next
+// BeginBatch: Engine.Respond's shards on the next query, a serve loop's
+// on its next receive batch.
 func (e *Engine) SetQlog(p *qlog.Pipeline) {
-	e.addMu.Lock()
-	defer e.addMu.Unlock()
-	if p == nil {
-		e.qlogSt.Store(nil)
-		return
-	}
-	e.qlogSt.Store(&engineQlog{pipe: p, shared: p.SharedProducer()})
+	e.qlogPipe.Store(p)
 }
 
-// BeginBatch stamps the receive time shared by every event the next
-// receive batch emits. One clock read per recvmmsg return bounds the
-// timestamp error by the batch's service time (tens of microseconds at
-// full load) and keeps time.Now off the per-query path.
-//
-//ldlint:noalloc
-func (sh *EngineShard) BeginBatch() {
-	if sh.qlog != nil {
-		sh.qlogNow = time.Now().UnixNano()
+// bindQlog points the shard at pipeline p with a producer (and ring) of
+// its own. The old ring stays registered with its pipeline, so what it
+// published still counts there.
+func (sh *EngineShard) bindQlog(p *qlog.Pipeline) {
+	sh.qlogPipe, sh.qlog = p, nil
+	if p != nil {
+		sh.qlog = p.Producer()
 	}
 }
 
-// qlogEmit publishes one event for a batch-path query. Flags carries the
+// qlogEmit publishes one event for a query. Flags carries the
 // caller-known bits (cache hit, dropped).
 //
 //ldlint:noalloc
@@ -64,19 +50,6 @@ func (sh *EngineShard) qlogEmit(query []byte, src netip.Addr, transport Transpor
 	}
 	fillQueryEvent(ev, sh.qlogNow, query, src, transport, vr, qnameLen, rcode, flags, t0)
 	p.Commit()
-}
-
-// qlogEmitShared publishes one event for a shared-path query through the
-// locked producer. qs is non-nil (the caller gates).
-//
-//ldlint:noalloc
-func (e *Engine) qlogEmitShared(qs *engineQlog, query []byte, src netip.Addr, transport Transport, vr *viewRoute, qnameLen int, rcode dnswire.Rcode, flags uint8, t0 time.Time) {
-	ev := qs.shared.Reserve()
-	if ev == nil {
-		return
-	}
-	fillQueryEvent(ev, time.Now().UnixNano(), query, src, transport, vr, qnameLen, rcode, flags, t0)
-	qs.shared.Commit()
 }
 
 // fillQueryEvent fills a reserved ring slot from the raw query wire.

@@ -219,21 +219,29 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// serveUDP is the per-datagram loop: the batch loop's receive→respond→
+// send through a shard of its own, one datagram per system call.
 func (s *Server) serveUDP(conn *net.UDPConn) {
 	defer s.wg.Done()
-	// One read buffer per worker: the engine never retains the query
-	// bytes, so the buffer is reused for every packet.
+	sh := s.Engine.NewShard()
+	// One read and one response buffer per worker: the engine never
+	// retains the query bytes, so both are reused for every packet.
 	buf := make([]byte, 64*1024)
+	var out []byte
 	for {
 		n, raddr, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
-		resp, err := s.Engine.Respond(buf[:n], raddr.Addr(), UDP)
-		if err != nil || resp == nil {
+		// A wildcard bind is dual-stack: an IPv4 client arrives as
+		// ::ffff:a.b.c.d, and views are keyed by the plain address.
+		sh.BeginBatch()
+		out, err = sh.AppendRespond(out[:0], buf[:n], raddr.Addr().Unmap(), UDP)
+		sh.EndBatch()
+		if err != nil || len(out) == 0 {
 			continue
 		}
-		_, _ = conn.WriteToUDPAddrPort(resp, raddr)
+		_, _ = conn.WriteToUDPAddrPort(out, raddr)
 	}
 }
 
@@ -269,28 +277,50 @@ func (s *Server) serveConn(conn net.Conn, transport Transport) {
 		s.mu.Unlock()
 	}()
 	src := remoteAddr(conn)
-	// Per-connection reusable read buffer: the engine never retains the
-	// query bytes, so each message overwrites the last.
-	var rbuf []byte
+	// Per-connection reusable buffers: the engine never retains the query
+	// bytes, so each message overwrites the last, and each framed
+	// response the one before it.
+	var rbuf, wbuf []byte
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		query, err := readTCPMessage(conn, &rbuf)
 		if err != nil {
 			return // idle timeout, EOF, or garbage: drop the connection
 		}
-		resp, err := s.Engine.Respond(query, src, transport)
-		if err != nil || resp == nil {
+		if wbuf, err = s.Engine.appendFramed(wbuf[:0], query, src, transport); err != nil {
 			return
 		}
-		if err := WriteTCPMessage(conn, resp); err != nil {
+		// One Write per message, so a response is never split across two
+		// writes at this layer.
+		if _, err := conn.Write(wbuf); err != nil {
 			return
 		}
 	}
 }
 
+// appendFramed answers one stream query and appends the response to dst
+// behind its RFC 1035 §4.2.2 two-octet length, which dnswire.Pack's
+// MaxMessageSize guarantees it fits. A connection borrows a shard per
+// query rather than owning one: a thousand idle connections should not
+// each hold a response cache.
+//
+//ldlint:noalloc
+func (e *Engine) appendFramed(dst, query []byte, src netip.Addr, transport Transport) ([]byte, error) {
+	base := len(dst)
+	dst = append(dst, 0, 0)
+	dst, err := e.respondBorrowed(dst, query, src, transport)
+	if err != nil {
+		return dst[:base], err
+	}
+	n := len(dst) - base - 2
+	dst[base], dst[base+1] = byte(n>>8), byte(n)
+	return dst, nil
+}
+
+// remoteAddr returns the peer's address as views are keyed: unmapped.
 func remoteAddr(conn net.Conn) netip.Addr {
-	if ap, err := netip.ParseAddrPort(conn.RemoteAddr().String()); err == nil {
-		return ap.Addr().Unmap()
+	if a, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
+		return a.AddrPort().Addr().Unmap()
 	}
 	return netip.Addr{}
 }

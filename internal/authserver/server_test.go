@@ -4,6 +4,7 @@ import (
 	"crypto/tls"
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"testing"
@@ -323,4 +324,66 @@ func TestServerReusePortUDP(t *testing.T) {
 		}
 		conn.Close()
 	}
+}
+
+// TestServerWildcardBindSourceView binds the per-datagram loop and the TCP
+// listener to the wildcard address, where an IPv4 client's source arrives
+// IPv4-mapped (::ffff:127.0.0.1) on a dual-stack host, and checks that it
+// still selects the view registered for the plain IPv4 address.
+func TestServerWildcardBindSourceView(t *testing.T) {
+	e := NewEngine()
+	loopback := netip.MustParseAddr("127.0.0.1")
+	if err := e.AddView(&View{Name: "loopback", Sources: []netip.Addr{loopback}, Zones: hierarchyEngine(t).ViewFor(exNSAddr).Zones}); err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{Engine: e}
+	if err := s.Start(":0", ":0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	wire, err := dnswire.NewQuery(79, "www.example.com.", dnswire.TypeA).Pack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(network string, out []byte) {
+		t.Helper()
+		var resp dnswire.Message
+		if err := resp.Unpack(out); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.Rcode != dnswire.RcodeNoError || len(resp.Answer) != 1 || resp.Answer[0].Data.String() != "192.0.2.80" {
+			t.Errorf("%s: rcode %v answer %v, want the loopback view's answer", network, resp.Header.Rcode, resp.Answer)
+		}
+	}
+
+	udp, err := net.DialUDP("udp4", nil, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: s.UDPAddr().Port})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	if _, err := udp.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	_ = udp.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := udp.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("udp", buf[:n])
+
+	tcp, err := net.Dial("tcp4", fmt.Sprintf("127.0.0.1:%d", s.TCPAddr().Port))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	if err := WriteTCPMessage(tcp, wire); err != nil {
+		t.Fatal(err)
+	}
+	_ = tcp.SetReadDeadline(time.Now().Add(2 * time.Second))
+	out, err := ReadTCPMessage(tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("tcp", out)
 }

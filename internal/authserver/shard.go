@@ -9,40 +9,44 @@ import (
 	"ldplayer/internal/qlog"
 )
 
-// EngineShard is one batch-path worker's private slice of the engine: a
-// shard-local packed-response cache (a plain map, no mutex — the owning
-// goroutine is its only reader and writer), a private coreStats counter
-// set, and a private scratch. The batched UDP datapath pairs one shard
-// with each SO_REUSEPORT worker socket so the receive→respond→send hot
-// path touches no cross-shard mutable state: no shared cache lock, no
-// contended counter cache lines, no sync.Pool traffic. Shared *read-only*
-// state (the routing snapshot, the cache capacity, the obs sampling
-// state) is still loaded atomically from the engine, which costs nothing
-// under contention-free reads.
+// EngineShard is the one place a query is answered, and one goroutine's
+// private slice of the engine while it does so: a packed-response cache
+// (a plain map, no mutex — the goroutine holding the shard is its only
+// reader and writer), a private coreStats counter set, and a private
+// scratch. Each UDP serve loop owns a shard for its lifetime (the batched
+// datapath pairs one with each SO_REUSEPORT worker socket); every other
+// caller borrows one per query through Engine.Respond. Either way the
+// receive→respond→send hot path touches no cross-shard mutable state: no
+// cache lock, no contended counter cache lines, no sync.Pool traffic.
+// Shared *read-only* state (the routing snapshot, the cache capacity, the
+// obs sampling state) is still loaded atomically from the engine, which
+// costs nothing under contention-free reads.
 //
-// Concurrency contract: AppendRespond and EndBatch must be called from a
-// single goroutine (the worker that owns the shard). Stats readers only
-// touch the shard's atomic counters, never the cache map, so Engine.Stats
-// and obs scrapes stay race-free while the shard serves. That contract
-// is machine-checked: the directive below makes ldlint's shardconfine
-// analyzer flag any shard value escaping its owning goroutine (channel
-// sends, go-closure captures, package-level or cross-shard stores).
+// Concurrency contract: BeginBatch, AppendRespond and EndBatch must be
+// called from one goroutine at a time — the worker that owns the shard,
+// or the borrower Engine.Respond's free-list lock handed it to. Stats
+// readers only touch the shard's atomic counters, never the cache map, so
+// Engine.Stats and obs scrapes stay race-free while the shard serves.
+// That contract is machine-checked: the directive below makes ldlint's
+// shardconfine analyzer flag any shard value escaping its owning
+// goroutine (channel sends, go-closure captures, package-level or
+// cross-shard stores).
 //
 //ldlint:confined
 type EngineShard struct {
 	e *Engine
 
-	// sc is the shard-owned scratch: unlike the shared path there is no
-	// pool round-trip per query.
+	// sc is the shard-owned scratch.
 	sc scratch
 
-	// cache is the shard-local packed-response cache. Keys and entries
-	// have the same shape as the shared respCache; the map itself is
-	// confined to the owning goroutine.
+	// cache is the packed-response cache, confined to the goroutine that
+	// holds the shard. Keys carry the view id, so views never share an
+	// entry.
 	cache map[string]cacheEntry
-	// gen is the cache-generation snapshot; EndBatch clears the map when
-	// the engine bumps cacheGen (cap change / disablement).
-	gen uint64
+	// gen is the cache-generation snapshot; BeginBatch clears the map when
+	// the engine has bumped cacheGen (cap change / disablement). Atomic
+	// only so CacheStats can tell a cache that is about to be cleared.
+	gen atomic.Uint64
 
 	// cacheEntries/cacheEvictions mirror the map's size and eviction
 	// count for CacheStats readers, which must not touch the map itself.
@@ -59,25 +63,25 @@ type EngineShard struct {
 	pendVR *viewRoute
 	pendN  int64
 
-	// qlog is the shard's SPSC telemetry producer (nil when telemetry is
-	// off); qlogNow is the batch-wide receive timestamp BeginBatch stamps.
-	qlog    *qlog.Producer
-	qlogNow int64
+	// qlog is the shard's SPSC telemetry producer into qlogPipe (nil when
+	// telemetry is off); qlogNow is the batch-wide receive timestamp
+	// BeginBatch stamps.
+	qlogPipe *qlog.Pipeline
+	qlog     *qlog.Producer
+	qlogNow  int64
 }
 
-// NewShard registers and returns a new batch-path shard.
+// NewShard registers and returns a new shard, the caller's to use from
+// one goroutine.
 func (e *Engine) NewShard() *EngineShard {
 	sh := &EngineShard{
 		e:     e,
 		cache: make(map[string]cacheEntry),
-		gen:   e.cacheGen.Load(),
 	}
+	sh.gen.Store(e.cacheGen.Load())
 	sh.sc.key = make([]byte, 0, 280)
 	sh.sc.buf = make([]byte, 0, 2048)
 	e.addMu.Lock()
-	if qs := e.qlogSt.Load(); qs != nil {
-		sh.qlog = qs.pipe.Producer()
-	}
 	cur := *e.shards.Load()
 	next := make([]*EngineShard, len(cur)+1)
 	copy(next, cur)
@@ -92,7 +96,8 @@ func (e *Engine) NewShard() *EngineShard {
 // slice. A response was produced iff the result is longer than dst; on
 // error (or a drop) dst is returned unchanged. The caller owns dst and
 // typically reuses one slab across a whole receive batch, so the
-// cache-hit steady state allocates nothing.
+// cache-hit steady state allocates nothing. This function is the only
+// cache-probe → respondSlow → cache-insert sequence in the package.
 //
 //ldlint:noalloc
 func (sh *EngineShard) AppendRespond(dst, query []byte, src netip.Addr, transport Transport) ([]byte, error) {
@@ -136,7 +141,7 @@ func (sh *EngineShard) AppendRespond(dst, query []byte, src netip.Addr, transpor
 	cacheable := false
 	qlen := 0
 	if vr != nil && e.cacheCap.Load() > 0 {
-		if qnameLen, ok := buildCacheKey(sc, query, transport); ok {
+		if qnameLen, ok := buildCacheKey(sc, query, transport, vr.id); ok {
 			cacheable = true
 			qlen = qnameLen
 			sc.qnameLen = qnameLen
@@ -177,18 +182,35 @@ func (sh *EngineShard) AppendRespond(dst, query []byte, src netip.Addr, transpor
 	return out, nil
 }
 
-// EndBatch flushes the pending per-view count and applies any cache
-// invalidation. Call it once per receive batch, after the batch's last
-// AppendRespond.
+// BeginBatch brings the shard up to date with the engine — dropping its
+// cache if the capacity changed, taking a producer on the current qlog
+// pipeline — and stamps the receive time shared by every event the next
+// receive batch emits. One clock read per recvmmsg return bounds the
+// timestamp error by the batch's service time (tens of microseconds at
+// full load) and keeps time.Now off the per-query path.
+//
+//ldlint:noalloc
+func (sh *EngineShard) BeginBatch() {
+	if g := sh.e.cacheGen.Load(); g != sh.gen.Load() {
+		sh.gen.Store(g)
+		clear(sh.cache)
+		sh.cacheEntries.Store(0)
+	}
+	if p := sh.e.qlogPipe.Load(); p != sh.qlogPipe {
+		//ldlint:ignore noallocprop cold: runs once per shard per SetQlog, to allocate the shard's ring
+		sh.bindQlog(p)
+	}
+	if sh.qlog != nil {
+		sh.qlogNow = time.Now().UnixNano()
+	}
+}
+
+// EndBatch flushes the pending per-view count. Call it once per receive
+// batch, after the batch's last AppendRespond.
 //
 //ldlint:noalloc
 func (sh *EngineShard) EndBatch() {
 	sh.flushViewCount()
-	if g := sh.e.cacheGen.Load(); g != sh.gen {
-		sh.gen = g
-		clear(sh.cache)
-		sh.cacheEntries.Store(0)
-	}
 }
 
 // flushViewCount publishes the accumulated run of same-view queries.
@@ -202,9 +224,9 @@ func (sh *EngineShard) flushViewCount() {
 	sh.pendN = 0
 }
 
-// cachePut stores a copy of resp in the shard-local cache under the
-// scratch key. Mirrors respCache.put but needs no lock: the owning
-// goroutine is the only mutator.
+// cachePut stores a copy of resp in the shard's cache under the scratch
+// key. The stored image gets a zeroed ID (hits always overwrite it) but
+// is otherwise byte-identical to what the slow path returned.
 func (sh *EngineShard) cachePut(resp []byte, meta respMeta, capacity int) {
 	if capacity <= 0 || len(resp) < 12+sh.sc.qnameLen+4 {
 		return

@@ -75,22 +75,13 @@ func New(cfg Config) *Pipeline {
 }
 
 // Producer registers a new SPSC ring and returns its producer handle.
-// Call once per emitting goroutine, before that goroutine starts
-// emitting (shards take theirs at NewShard, queriers at construction).
+// Call once per emitter, before it starts emitting (engine shards take
+// theirs at the first BeginBatch after SetQlog, queriers at
+// construction); a handle is used by one goroutine at a time.
 func (p *Pipeline) Producer() *Producer {
 	r := newRing(p.cfg.RingSize)
 	p.addRing(r)
 	return &Producer{r: r}
-}
-
-// SharedProducer registers a ring whose producer side is mutex-guarded,
-// for paths emitted from multiple goroutines.
-func (p *Pipeline) SharedProducer() *LockedProducer {
-	r := newRing(p.cfg.RingSize)
-	p.addRing(r)
-	lp := &LockedProducer{}
-	lp.p.r = r
-	return lp
 }
 
 func (p *Pipeline) addRing(r *ring) {

@@ -3,11 +3,10 @@
 // perturbing it. It is the dnstap-style collectors → transformers →
 // loggers architecture, specialized for this repo's hot paths:
 //
-//   - Producers (one per authserver batch shard, one per replay querier,
-//     plus a mutex-wrapped producer for the shared Respond path) write
-//     events directly into per-producer bounded SPSC rings. An enqueue
-//     is a bounds check and a handful of stores — never a syscall, never
-//     a lock on the SPSC rings, never a block. When a ring is full the
+//   - Producers (one per authserver engine shard, one per replay
+//     querier) write events directly into per-producer bounded SPSC
+//     rings. An enqueue is a bounds check and a handful of stores —
+//     never a syscall, never a lock, never a block. When a ring is full the
 //     event is counted as dropped and the datapath moves on; telemetry
 //     load-sheds, service never does.
 //

@@ -1,12 +1,9 @@
 package qlog
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // DefaultRingSize is the per-producer event ring capacity. At ~300 bytes
-// per slot a ring is ~2.4 MiB; one ring per batch worker keeps the
+// per slot a ring is ~2.4 MiB; one ring per engine shard keeps the
 // backlog a collector stall can absorb proportional to worker count.
 const DefaultRingSize = 8192
 
@@ -71,8 +68,9 @@ func (r *ring) depth() int64 { return int64(r.tail.Load() - r.head.Load()) }
 func (r *ring) published() int64 { return int64(r.tail.Load()) }
 
 // Producer is the single-producer handle to one ring. The owning
-// goroutine (a batch shard's worker, a replay querier) calls Reserve to
-// claim the next slot, fills it in place, and Commit publishes it:
+// goroutine (whoever holds the engine shard, a replay querier) calls
+// Reserve to claim the next slot, fills it in place, and Commit
+// publishes it:
 //
 //	if ev := p.Reserve(); ev != nil {
 //		ev.Time = now
@@ -122,35 +120,4 @@ func (p *Producer) Reserve() *Event {
 func (p *Producer) Commit() {
 	p.tail++
 	p.r.tail.Store(p.tail) // release: pairs with drain's tail load
-}
-
-// LockedProducer wraps a Producer in a mutex for paths with multiple
-// emitting goroutines (the shared Respond path serving per-datagram UDP,
-// TCP, and TLS). The lock is held across the slot fill — tens of
-// nanoseconds — and an enqueue still never blocks on the collector or a
-// sink: a full ring drops exactly as in the SPSC case.
-type LockedProducer struct {
-	mu sync.Mutex
-	p  Producer
-}
-
-// Reserve locks and claims the next slot. On success the lock is held
-// until Commit; on a full ring it is released and nil returned.
-//
-//ldlint:noalloc
-func (lp *LockedProducer) Reserve() *Event {
-	lp.mu.Lock()
-	ev := lp.p.Reserve()
-	if ev == nil {
-		lp.mu.Unlock()
-	}
-	return ev
-}
-
-// Commit publishes the slot claimed by Reserve and releases the lock.
-//
-//ldlint:noalloc
-func (lp *LockedProducer) Commit() {
-	lp.p.Commit()
-	lp.mu.Unlock()
 }

@@ -102,52 +102,3 @@ func TestRingSPSCHammer(t *testing.T) {
 		t.Fatalf("published = %d, want %d", got, total)
 	}
 }
-
-// TestLockedProducerConcurrent hammers a shared producer from several
-// goroutines, then checks every committed event arrived intact.
-func TestLockedProducerConcurrent(t *testing.T) {
-	const (
-		workers = 4
-		each    = 5000
-	)
-	r := newRing(1 << 15) // holds everything: no drops expected
-	lp := &LockedProducer{}
-	lp.p.r = r
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				ev := lp.Reserve()
-				if ev == nil {
-					t.Error("ring full despite capacity")
-					return
-				}
-				ev.ID = uint16(w)
-				ev.Time = int64(i)
-				lp.Commit()
-			}
-		}(w)
-	}
-	wg.Wait()
-	seen := make(map[uint16]int)
-	dst := make([]Event, 512)
-	for {
-		n := r.drain(dst)
-		if n == 0 {
-			break
-		}
-		for i := 0; i < n; i++ {
-			seen[dst[i].ID]++
-		}
-	}
-	for w := 0; w < workers; w++ {
-		if seen[uint16(w)] != each {
-			t.Errorf("worker %d: %d events drained, want %d", w, seen[uint16(w)], each)
-		}
-	}
-	if r.drops.Load() != 0 {
-		t.Errorf("drops = %d, want 0", r.drops.Load())
-	}
-}

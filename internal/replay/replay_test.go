@@ -381,7 +381,9 @@ func TestRemoteDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := makeTrace(t, 60, 6, time.Millisecond, trace.UDP)
+	// Sources are spread by a randomly seeded hash: with 30 of them the
+	// chance that one client gets none is 2^-29 (with 6 it was 3%).
+	entries := makeTrace(t, 60, 30, time.Millisecond, trace.UDP)
 	if err := rc.Run(trace.NewSliceReader(entries)); err != nil {
 		t.Fatal(err)
 	}
