@@ -4,16 +4,18 @@
 # compiler escape cross-check), build, the full test suite, a
 # short-form run of the engine hot-path benchmarks (which also executes
 # their allocation sanity assertions), the observability smoke test, and
-# a short fuzz budget over the DNS wire codec. The race-detector suite
+# a short fuzz budget over the DNS wire codec. The end-to-end smoke of the
+# repo's benchmark (`make bench-e2e`) is TestSmokeEveryWorkload in
+# internal/benchkit, part of `make test`. The race-detector suite
 # (`make race`) runs as its own CI job in parallel with the gate, as does
 # the repeat-under-load flake hunt (`make flake`); run them locally
 # before pushing concurrency or timing changes.
 
 GO ?= go
 
-.PHONY: check vet lint lint-interproc build test race flake bench-smoke bench-e2e bench-ledger bench-replay bench-replay-smoke bench-server bench-server-smoke bench-qlog bench-qlog-smoke bench-trace bench-trace-smoke bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
+.PHONY: check vet lint lint-interproc build test race flake fallback bench-smoke bench-e2e bench-ledger bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
 
-check: vet lint-interproc build test bench-smoke bench-replay-smoke bench-server-smoke bench-qlog-smoke bench-trace-smoke obs-smoke qlog-smoke sim-smoke fuzz-smoke
+check: vet lint-interproc build test bench-smoke obs-smoke qlog-smoke sim-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -60,10 +62,21 @@ flake:
 # noise dominating CI time. The EngineRespond benchmarks repeat one
 # question, so all but EngineRespondManyZones (cache off) measure cache
 # hits; ShardRespondMiss (a new name every iteration, inserted into a
-# full cache) and LookupNXDomainDNSSEC are the miss path.
+# full cache) and LookupNXDomainDNSSEC are the miss path. Pipeline is the
+# qlog ring→collector→sink rate (events/s); drop -benchtime for numbers.
 bench-smoke:
 	$(GO) test -run XXX -bench='EngineRespond|ShardRespondMiss' -benchtime=100x ./internal/authserver/
 	$(GO) test -run XXX -bench='LookupNXDomainDNSSEC' -benchtime=100x ./internal/zone/
+	$(GO) test -run XXX -bench='Pipeline' -benchtime=100x ./internal/qlog/
+
+# The portable netio path (one datagram per system call behind the same
+# Recv/Stage/SendStaged API) is the only UDP path off linux/amd64|arm64,
+# and nothing else compiles or runs it: test it on 386, where the batch
+# syscalls are not wired, and vet it for a non-Linux target.
+FALLBACK_PKGS ?= ./internal/netio ./internal/authserver ./internal/replay
+fallback:
+	GOARCH=386 $(GO) test $(FALLBACK_PKGS)
+	GOOS=darwin GOARCH=arm64 $(GO) vet $(FALLBACK_PKGS)
 
 # The repo's benchmark (BENCHMARK.json): closed-loop goodput through the
 # shipped ldplayer→metadns pipeline on four workloads, built and run the
@@ -89,16 +102,6 @@ obs-smoke:
 # fields, cache-hit flags, and counts must match the traffic exactly.
 qlog-smoke:
 	$(GO) test -run TestQlogSmoke -count=1 ./internal/qlog/
-
-# One-second qlog pipeline smoke: enqueue, transform, file- and
-# TCP-export at reduced scale, validating the JSON it would record
-# without touching BENCH_qlog.json.
-bench-qlog-smoke:
-	$(GO) run ./cmd/ldplayer qlog-bench -smoke >/dev/null && echo "bench-qlog-smoke: ok"
-
-# Full qlog pipeline benchmark: appends a labeled run to BENCH_qlog.json.
-bench-qlog:
-	$(GO) run ./cmd/ldplayer qlog-bench -label "$${LABEL:-dev}"
 
 # Virtual-time simulation smoke: a seeded chaos scenario under SimClock
 # must replay bit-identically (event log and counters), and the
@@ -133,38 +136,6 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzBlockRoundTrip$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockDecode$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockHeader$$' -fuzztime 5s ./internal/trace/
-
-# One-second replay-datapath smoke: runs the scaled-down loopback suite
-# end to end (engine, wheel, batched I/O, sink) and validates the JSON it
-# would record, without touching BENCH_replay.json.
-bench-replay-smoke:
-	$(GO) run ./cmd/ldplayer bench -smoke >/dev/null && echo "bench-replay-smoke: ok"
-
-# Full replay benchmark: appends a labeled run to BENCH_replay.json.
-bench-replay:
-	$(GO) run ./cmd/ldplayer bench -label "$${LABEL:-dev}"
-
-# Trace-ingestion smoke: decodes a scaled-down recursive trace through
-# the LDTRC01 stream and the LDTRC02 block reader (raw and flate) and
-# validates the JSON it would record, without touching BENCH_replay.json.
-bench-trace-smoke:
-	$(GO) run ./cmd/ldplayer trace-bench -smoke >/dev/null && echo "bench-trace-smoke: ok"
-
-# Full trace-ingestion benchmark: appends a labeled run to
-# BENCH_replay.json (the ingestion numbers live in the same trajectory
-# as the replay datapath they feed).
-bench-trace:
-	$(GO) run ./cmd/ldplayer trace-bench -label "$${LABEL:-dev}"
-
-# Server-datapath smoke: drives a live meta-DNS-server over loopback in
-# all three shapes (per-datagram, batched, batched+GSO/GRO) at reduced
-# scale and validates the JSON, without touching BENCH_server.json.
-bench-server-smoke:
-	$(GO) run ./cmd/metadns bench -smoke >/dev/null && echo "bench-server-smoke: ok"
-
-# Full server benchmark: appends a labeled run to BENCH_server.json.
-bench-server:
-	$(GO) run ./cmd/metadns bench -label "$${LABEL:-dev}"
 
 # Full benchmark sweep (regenerates the paper's tables and figures).
 bench:

@@ -15,7 +15,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,9 +30,7 @@ import (
 	"ldplayer/internal/obs"
 	"ldplayer/internal/pcap"
 	"ldplayer/internal/qlog"
-	qbench "ldplayer/internal/qlog/bench"
 	"ldplayer/internal/replay"
-	"ldplayer/internal/replay/bench"
 	"ldplayer/internal/trace"
 	"ldplayer/internal/traceg"
 )
@@ -53,12 +50,6 @@ func main() {
 		err = cmdMutate(os.Args[2:])
 	case "replay":
 		err = cmdReplay(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
-	case "trace-bench":
-		err = cmdTraceBench(os.Args[2:])
-	case "qlog-bench":
-		err = cmdQlogBench(os.Args[2:])
 	case "experiment":
 		err = cmdExperiment(os.Args[2:])
 	case "demo":
@@ -74,14 +65,11 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: ldplayer <gen|stats|mutate|replay|bench|trace-bench|qlog-bench|experiment|demo> [flags]
+	fmt.Fprintln(os.Stderr, `usage: ldplayer <gen|stats|mutate|replay|experiment|demo> [flags]
   gen         -kind broot|rec|syn -out FILE synthesize a Table-1 trace family
   stats       -in FILE                      print Table-1 style statistics
   mutate      -in FILE -out FILE [flags]    rewrite a trace (protocol, DO, tags)
   replay      -in FILE -udp HOST:PORT ...   replay against live servers
-  bench       -label NAME [-out FILE]       loopback replay self-benchmark
-  trace-bench -label NAME [-out FILE]       trace-ingestion decode/size benchmark
-  qlog-bench  -label NAME [-out FILE]       telemetry pipeline self-benchmark
   experiment  -name NAME                    regenerate a paper figure/table
   demo                                      end-to-end self-contained demo`)
 }
@@ -444,170 +432,6 @@ func cmdReplay(args []string) error {
 		fmt.Printf("impairment: offered=%d dropped=%d duplicated=%d reordered=%d corrupted=%d\n",
 			is.Offered, is.Dropped, is.Duplicated, is.Reordered, is.Corrupted)
 	}
-	return nil
-}
-
-// cmdBench runs the loopback replay self-benchmark and records the
-// results in a BENCH_replay.json trajectory file. -smoke runs a scaled-
-// down suite, validates the JSON it would write, and prints it to stdout
-// without touching the trajectory file (the CI gate).
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	label := fs.String("label", "dev", "trajectory label for this run (e.g. baseline, batched-io)")
-	out := fs.String("out", "BENCH_replay.json", "trajectory file to append to")
-	smoke := fs.Bool("smoke", false, "short run: validate JSON output, write nothing")
-	scale := fs.Float64("scale", 1, "scale factor for the suite's trace sizes")
-	fs.Parse(args)
-
-	sc := *scale
-	if *smoke {
-		sc = 0.04 // ~1 second of work
-	}
-	results, err := bench.Suite(sc)
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		mode := fmt.Sprintf("paced @%.0f q/s", r.Rate)
-		if r.FastMode {
-			mode = "fast mode"
-		}
-		fmt.Printf("%-12s %s: %.0f q/s, sched err p50=%.0fµs p99=%.0fµs, %.1f allocs/query (%d sent, %d responses)\n",
-			r.Name, mode, r.AchievedQPS, r.P50SchedErrUS, r.P99SchedErrUS, r.AllocsPerQuery, r.Sent, r.Responses)
-	}
-
-	if *smoke {
-		rep := bench.NewReport()
-		rep.Append("smoke", results)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := bench.Validate(data); err != nil {
-			return err
-		}
-		fmt.Println(string(data))
-		fmt.Println("bench smoke: JSON output validates")
-		return nil
-	}
-
-	rep, err := bench.LoadReport(*out)
-	if err != nil {
-		return err
-	}
-	rep.Append(*label, results)
-	if err := rep.Save(*out); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %q in %s\n", *label, *out)
-	return nil
-}
-
-// cmdTraceBench runs the trace-ingestion benchmarks: decode throughput
-// of the LDTRC01 stream versus LDTRC02 blocks (single-worker and
-// parallel) and the compressed block format's size ratio, on a
-// traceg-generated recursive trace. Results land in the same
-// BENCH_replay.json trajectory as the replay benchmarks.
-func cmdTraceBench(args []string) error {
-	fs := flag.NewFlagSet("trace-bench", flag.ExitOnError)
-	label := fs.String("label", "dev", "trajectory label for this run (e.g. baseline, block-format)")
-	out := fs.String("out", "BENCH_replay.json", "trajectory file to append to")
-	smoke := fs.Bool("smoke", false, "short run: validate JSON output, write nothing")
-	scale := fs.Float64("scale", 1, "scale factor for the trace size")
-	fs.Parse(args)
-
-	sc := *scale
-	if *smoke {
-		sc = 0.04 // ~1 second of work
-	}
-	results, err := bench.TraceSuite(sc)
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		ratio := ""
-		if r.CompressionX > 0 {
-			ratio = fmt.Sprintf(", %.2fx vs LDTRC01", r.CompressionX)
-		}
-		fmt.Printf("%-26s %.2fM entries/s, %.3f allocs/entry, %d bytes%s\n",
-			r.Name, r.AchievedQPS/1e6, r.AllocsPerQuery, r.TraceBytes, ratio)
-	}
-
-	if *smoke {
-		rep := bench.NewReport()
-		rep.Append("smoke", results)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := bench.Validate(data); err != nil {
-			return err
-		}
-		fmt.Println("trace-bench smoke: JSON output validates")
-		return nil
-	}
-
-	rep, err := bench.LoadReport(*out)
-	if err != nil {
-		return err
-	}
-	rep.Append(*label, results)
-	if err := rep.Save(*out); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %q in %s\n", *label, *out)
-	return nil
-}
-
-// cmdQlogBench runs the telemetry-pipeline self-benchmark and records
-// the results in a BENCH_qlog.json trajectory file. -smoke runs a
-// scaled-down suite, validates the JSON it would write, and prints it to
-// stdout without touching the trajectory file (the CI gate).
-func cmdQlogBench(args []string) error {
-	fs := flag.NewFlagSet("qlog-bench", flag.ExitOnError)
-	label := fs.String("label", "dev", "trajectory label for this run")
-	out := fs.String("out", "BENCH_qlog.json", "trajectory file to append to")
-	smoke := fs.Bool("smoke", false, "short run: validate JSON output, write nothing")
-	scale := fs.Float64("scale", 1, "scale factor for per-case duration")
-	fs.Parse(args)
-
-	sc := *scale
-	if *smoke {
-		sc = 0.08 // ~0.5s of work
-	}
-	results, err := qbench.Suite(sc)
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Printf("%-14s sink=%-7s producers=%d: %.2fM enq/s, %.2fM export/s (%.1f MB/s), %d shed\n",
-			r.Name, r.Sink, r.Producers, r.ProducePerSec/1e6, r.ExportPerSec/1e6, r.MBPerSec, r.RingDrops)
-	}
-
-	if *smoke {
-		rep := qbench.NewReport()
-		rep.Append("smoke", results)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := qbench.Validate(data); err != nil {
-			return err
-		}
-		fmt.Println(string(data))
-		fmt.Println("qlog-bench smoke: JSON output validates")
-		return nil
-	}
-
-	rep, err := qbench.LoadReport(*out)
-	if err != nil {
-		return err
-	}
-	rep.Append(*label, results)
-	if err := rep.Save(*out); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %q in %s\n", *label, *out)
 	return nil
 }
 

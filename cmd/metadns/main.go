@@ -38,13 +38,6 @@ func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		if err := cmdBench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "metadns bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	var zoneFlags, viewFlags multiFlag
 	flag.Var(&zoneFlags, "zone", "NAME=FILE zone to load (repeatable); NAME 'root' means '.'")
 	flag.Var(&viewFlags, "view", "ADDR=NAME[,NAME...] split-horizon view matching source ADDR (repeatable)")
@@ -57,8 +50,7 @@ func main() {
 	obsSample := flag.Int("obs-sample", authserver.DefaultObsSampleEvery, "trace and time 1 in N queries when -obs-listen is set")
 	impair := flag.String("impair", "", "fault-inject the UDP listener, e.g. 'drop=0.2,jitter=5ms,seed=1'")
 	workers := flag.Int("udp-workers", 4, "UDP worker (and with -reuseport, socket) count")
-	batch := flag.Int("udp-batch", authserver.DefaultUDPBatchSize, "datagrams per recvmmsg/sendmmsg batch on the batched datapath; 0 = per-datagram loop")
-	noOffload := flag.Bool("no-offload", false, "disable UDP GSO/GRO coalescing on the batched datapath")
+	batch := flag.Int("udp-batch", authserver.DefaultUDPBatchSize, "datagrams per recvmmsg/sendmmsg batch (1 = one datagram per syscall)")
 	reusePort := flag.Bool("reuseport", true, "one SO_REUSEPORT UDP socket per worker where supported")
 	qlogFile := flag.String("qlog", "", "stream per-query telemetry to this rotating binary qlog file (empty = disabled)")
 	qlogTCP := flag.String("qlog-tcp", "", "stream per-query telemetry to this TCP collector address (empty = disabled)")
@@ -73,7 +65,6 @@ func main() {
 	srvOpts := serverOpts{
 		workers:   *workers,
 		batch:     *batch,
-		noOffload: *noOffload,
 		reusePort: *reusePort,
 	}
 	qopts := qlog.Options{
@@ -96,13 +87,15 @@ func main() {
 type serverOpts struct {
 	workers   int
 	batch     int
-	noOffload bool
 	reusePort bool
 }
 
 func run(zoneFlags, viewFlags []string, udp, tcp, tlsAddr, tlsHost string, idle time.Duration, obsListen string, obsSample int, impair string, qopts qlog.Options, srvOpts serverOpts) error {
 	if len(zoneFlags) == 0 {
 		return fmt.Errorf("at least one -zone is required")
+	}
+	if srvOpts.batch < 1 {
+		return fmt.Errorf("-udp-batch %d: the batch width must be at least 1 (-udp-batch 1 is one datagram per syscall)", srvOpts.batch)
 	}
 	zones := make(map[string]*zone.Zone)
 	for _, zf := range zoneFlags {
@@ -217,9 +210,7 @@ func run(zoneFlags, viewFlags []string, udp, tcp, tlsAddr, tlsHost string, idle 
 		IdleTimeout: idle,
 		UDPWorkers:  srvOpts.workers,
 		ReusePort:   srvOpts.reusePort,
-		Batch:       srvOpts.batch > 0,
 		BatchSize:   srvOpts.batch,
-		NoOffload:   srvOpts.noOffload,
 	}
 	if tlsAddr != "" {
 		serverTLS, _, err := authserver.SelfSignedTLSConfig(tlsHost)

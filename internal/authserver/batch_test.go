@@ -34,11 +34,9 @@ func bigZone(t *testing.T) *zone.Zone {
 	return z
 }
 
-// startBatchServer starts a Server on the batched UDP datapath (falling
-// back to the per-datagram loop where netio.BatchSyscalls is false, so
-// the same tests validate the portable path) with a default view
-// answering loopback clients.
-func startBatchServer(t *testing.T, workers int, noOffload bool) *Server {
+// batchEngine is the hierarchy engine plus a default view answering
+// loopback clients from the example.com and big.example zones.
+func batchEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := hierarchyEngine(t)
 	exView := e.ViewFor(exNSAddr)
@@ -46,19 +44,31 @@ func startBatchServer(t *testing.T, workers int, noOffload bool) *Server {
 	if err := e.AddView(&View{Name: "default", Zones: zones}); err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{
-		Engine:     e,
-		UDPWorkers: workers,
-		ReusePort:  workers > 1,
-		Batch:      true,
-		BatchSize:  8,
-		NoOffload:  noOffload,
-	}
+	return e
+}
+
+// startUDP starts s on a loopback UDP port and stops it with the test.
+func startUDP(t *testing.T, s *Server) *Server {
+	t.Helper()
 	if err := s.Start("127.0.0.1:0", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// startBatchServer starts a Server with a narrow batch, so a burst spans
+// several receive batches, and one SO_REUSEPORT socket per worker. Where
+// netio has no sendmmsg the same loop runs a datagram at a time, so the
+// same tests validate the portable path.
+func startBatchServer(t *testing.T, workers int) *Server {
+	t.Helper()
+	return startUDP(t, &Server{
+		Engine:     batchEngine(t),
+		UDPWorkers: workers,
+		ReusePort:  workers > 1,
+		BatchSize:  8,
+	})
 }
 
 // sendAndCollect fires the packed queries at the server through a
@@ -117,33 +127,45 @@ func sendAndCollect(t *testing.T, s *Server, queries [][]byte, ids []uint16) map
 	return got
 }
 
-// TestServerBatchUDP drives the batched datapath end to end: a burst of
-// equal-size queries (distinct IDs, same question) whose responses are
-// all equal-size cache hits — the GSO-coalescing sweet spot — must each
-// come back correct, and the per-shard counters must aggregate to the
-// full total.
+// sameQuestionBurst packs k queries for www.example.com. A with distinct
+// IDs: equal-size queries whose responses are equal-size cache hits, the
+// GSO-coalescing sweet spot.
+func sameQuestionBurst(t *testing.T, k int) (queries [][]byte, ids []uint16) {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		id := uint16(1000 + i)
+		wire, err := dnswire.NewQuery(id, "www.example.com.", dnswire.TypeA).Pack(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, wire)
+		ids = append(ids, id)
+	}
+	return queries, ids
+}
+
+// TestServerBatchUDP drives the UDP datapath end to end: every query of
+// a same-size burst must come back correct, and the per-shard counters
+// must aggregate to the full total. The zero-value Server — what
+// core.Testbed and the experiments start — rides the same loop at its
+// defaults and must answer a 64-query burst completely. (GSO/GRO on
+// versus off is netio's TestBatchStagedReplies; the server has no such
+// knob.)
 func TestServerBatchUDP(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		noOffload bool
-	}{{"offload", false}, {"no-offload", true}} {
+		name  string
+		k     int
+		start func(t *testing.T) *Server
+	}{
+		{"two reuseport workers, width 8", 100, func(t *testing.T) *Server { return startBatchServer(t, 2) }},
+		{"zero-value Server", 64, func(t *testing.T) *Server { return startUDP(t, &Server{Engine: batchEngine(t)}) }},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := startBatchServer(t, 2, tc.noOffload)
-			const k = 100
-			queries := make([][]byte, k)
-			ids := make([]uint16, k)
-			for i := range queries {
-				id := uint16(1000 + i)
-				wire, err := dnswire.NewQuery(id, "www.example.com.", dnswire.TypeA).Pack(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				queries[i] = wire
-				ids[i] = id
-			}
+			s := tc.start(t)
+			queries, ids := sameQuestionBurst(t, tc.k)
 			got := sendAndCollect(t, s, queries, ids)
-			if len(got) != k {
-				t.Fatalf("got %d/%d responses", len(got), k)
+			if len(got) != tc.k {
+				t.Fatalf("got %d/%d responses", len(got), tc.k)
 			}
 			for id, resp := range got {
 				if !resp.Header.QR || resp.Header.Rcode != dnswire.RcodeNoError {
@@ -154,8 +176,8 @@ func TestServerBatchUDP(t *testing.T) {
 				}
 			}
 			// Shard counters federate into the engine-wide view.
-			if st := s.Engine.Stats(); st.Queries < k || st.Responses < k {
-				t.Errorf("aggregated stats = %+v, want ≥ %d queries", st, k)
+			if st := s.Engine.Stats(); st.Queries < int64(tc.k) || st.Responses < int64(tc.k) {
+				t.Errorf("aggregated stats = %+v, want ≥ %d queries", st, tc.k)
 			}
 			if cs := s.Engine.CacheStats(); cs.Hits == 0 {
 				t.Error("batch path never hit a shard cache")
@@ -170,7 +192,7 @@ func TestServerBatchUDP(t *testing.T) {
 // fall out of GSO coalescing rather than clip or inflate the full-size
 // answers interleaved around them in the same batch.
 func TestServerBatchTruncation(t *testing.T) {
-	s := startBatchServer(t, 1, false)
+	s := startBatchServer(t, 1)
 	const pairs = 20
 	var queries [][]byte
 	var ids []uint16

@@ -12,7 +12,7 @@
 //
 // There is one way to answer a query: EngineShard.AppendRespond
 // (shard.go). A shard is a goroutine-confined scratch, packed-response
-// cache, and counter set; the batched and per-datagram UDP loops each own
+// cache, and counter set; each UDP worker (serve_batch.go) owns
 // one, and everything else — TCP/TLS connections, the netsim adapter,
 // the experiments harness — goes through Engine.Respond, which borrows a
 // shard from a small engine-owned list for the length of one query.

@@ -6,18 +6,20 @@ import (
 	"ldplayer/internal/netio"
 )
 
-// Batched UDP datapath: the server-side twin of the PR 4 replay client.
-// Each worker owns one SO_REUSEPORT socket (or a share of the single
-// socket), one netio.UDPBatch, and one EngineShard, and loops
+// The UDP datapath: the server-side twin of the replay client's batched
+// sends, and the server's only UDP loop. Each worker owns one
+// SO_REUSEPORT socket (or a share of the single socket), one
+// netio.UDPBatch, and one EngineShard, and loops
 //
 //	recvmmsg (GRO-coalesced) → shard respond into a reusable slab →
 //	sendmmsg (equal-size same-peer responses GSO-coalesced)
 //
 // so a batch of B queries crosses the kernel twice instead of 2B times,
-// and the respond stage touches no cross-shard mutable state. This file
-// is portable — the netio fallback presents the same API — but Start
-// only routes here when netio.BatchSyscalls is true; elsewhere the
-// per-datagram serveUDP loop remains the fallback.
+// and the respond stage touches no cross-shard mutable state. Off
+// linux/amd64|arm64 netio's portable fallback presents the same
+// Recv/Stage/SendStaged API as a batch of one datagram per system call,
+// so this loop — and the shardconfine/noallocprop guards on it — is what
+// runs on every platform.
 
 // DefaultUDPBatchSize is the default per-worker receive batch width.
 const DefaultUDPBatchSize = 32
@@ -29,7 +31,7 @@ const batchBufSize = 64 << 10
 // startUDPBatch spawns the batched workers. Each gets its own socket
 // when ReusePort provided one per worker; otherwise they share (separate
 // UDPBatch instances keep per-worker state disjoint, and concurrent
-// recvmmsg on one fd is kernel-arbitrated like the per-datagram loop).
+// recvmmsg on one fd is kernel-arbitrated).
 func (s *Server) startUDPBatch() error {
 	size := s.BatchSize
 	if size <= 0 {
@@ -41,11 +43,10 @@ func (s *Server) startUDPBatch() error {
 		// best-effort, the kernel clamps to its limits.
 		_ = conn.SetReadBuffer(4 << 20)
 		b, err := netio.NewUDPBatchConfig(conn, netio.BatchConfig{
-			SendMsgs:  size,
-			RecvMsgs:  size,
-			BufSize:   batchBufSize,
-			Addrs:     true,
-			NoOffload: s.NoOffload,
+			SendMsgs: size,
+			RecvMsgs: size,
+			BufSize:  batchBufSize,
+			Addrs:    true,
 		})
 		if err != nil {
 			return err
@@ -70,8 +71,7 @@ func (s *Server) serveUDPBatch(b *netio.UDPBatch, sh *EngineShard) {
 		sh.BeginBatch()
 		slab = s.respondBatch(b, sh, slab[:0], n)
 		sh.EndBatch()
-		// Send errors are per-batch UDP best-effort, like the fallback
-		// loop's ignored WriteToUDPAddrPort errors.
+		// Send errors are ignored: UDP replies are best-effort per batch.
 		_, _ = b.SendStaged()
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ldplayer/internal/netio"
 )
 
 // Server runs an Engine behind live UDP, TCP, and (optionally) TLS
@@ -29,26 +27,27 @@ type Server struct {
 	IdleTimeout time.Duration
 	// TLSConfig enables the TLS listener when non-nil.
 	TLSConfig *tls.Config
-	// UDPWorkers sets the UDP read-loop worker pool size (default 4).
+	// UDPWorkers sets the UDP worker count (default 4). Every worker runs
+	// the batch loop in serve_batch.go over its own netio.UDPBatch and
+	// engine shard.
 	UDPWorkers int
 	// ReusePort opens one SO_REUSEPORT UDP socket per worker so the
 	// kernel fans incoming packets out across workers instead of all
 	// workers contending on one socket's receive queue. Silently falls
 	// back to a single shared socket on platforms without SO_REUSEPORT.
 	ReusePort bool
-	// Batch enables the batched UDP datapath on platforms with real
-	// sendmmsg/recvmmsg: each worker drains up to BatchSize datagrams per
-	// recvmmsg (GRO-coalesced where the kernel supports it), answers them
-	// through a private engine shard, and replies with one sendmmsg,
-	// coalescing equal-size same-peer responses into GSO super-datagrams.
-	// On other platforms (or when false) the per-datagram loop serves.
+	// Batch is ignored: the batch loop is the only UDP loop, on every
+	// platform (netio's portable fallback presents it as batch-of-1).
+	//
+	// Deprecated: the field survives only because internal/benchkit/sut.go
+	// sets it and a change to the benchmark's own files must not ride
+	// along with a change to what it measures. The next benchmark PR
+	// deletes that line and this field together (ROADMAP item 2).
 	Batch bool
 	// BatchSize is the per-worker receive batch width (default
-	// DefaultUDPBatchSize, clamped to netio.MaxBatch).
+	// DefaultUDPBatchSize, clamped to netio.MaxBatch). A width of 1 is one
+	// datagram per system call.
 	BatchSize int
-	// NoOffload disables UDP GSO/GRO on the batched datapath, keeping
-	// plain per-datagram sendmmsg/recvmmsg. For A/B measurement.
-	NoOffload bool
 
 	udpConns []*net.UDPConn
 	tcpLn    net.Listener
@@ -87,16 +86,9 @@ func (s *Server) Start(udpAddr, tcpAddr, tlsAddr string) error {
 		if err := s.listenUDP(udpAddr); err != nil {
 			return err
 		}
-		if s.Batch && netio.BatchSyscalls {
-			if err := s.startUDPBatch(); err != nil {
-				s.Close()
-				return err
-			}
-		} else {
-			for i := 0; i < s.UDPWorkers; i++ {
-				s.wg.Add(1)
-				go s.serveUDP(s.udpConns[i%len(s.udpConns)])
-			}
+		if err := s.startUDPBatch(); err != nil {
+			s.Close()
+			return err
 		}
 	}
 	if tcpAddr != "" {
@@ -217,32 +209,6 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-}
-
-// serveUDP is the per-datagram loop: the batch loop's receive→respond→
-// send through a shard of its own, one datagram per system call.
-func (s *Server) serveUDP(conn *net.UDPConn) {
-	defer s.wg.Done()
-	sh := s.Engine.NewShard()
-	// One read and one response buffer per worker: the engine never
-	// retains the query bytes, so both are reused for every packet.
-	buf := make([]byte, 64*1024)
-	var out []byte
-	for {
-		n, raddr, err := conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			return // closed
-		}
-		// A wildcard bind is dual-stack: an IPv4 client arrives as
-		// ::ffff:a.b.c.d, and views are keyed by the plain address.
-		sh.BeginBatch()
-		out, err = sh.AppendRespond(out[:0], buf[:n], raddr.Addr().Unmap(), UDP)
-		sh.EndBatch()
-		if err != nil || len(out) == 0 {
-			continue
-		}
-		_, _ = conn.WriteToUDPAddrPort(out, raddr)
-	}
 }
 
 func (s *Server) acceptLoop(ln net.Listener, transport Transport) {

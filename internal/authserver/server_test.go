@@ -326,7 +326,7 @@ func TestServerReusePortUDP(t *testing.T) {
 	}
 }
 
-// TestServerWildcardBindSourceView binds the per-datagram loop and the TCP
+// TestServerWildcardBindSourceView binds the UDP loop and the TCP
 // listener to the wildcard address, where an IPv4 client's source arrives
 // IPv4-mapped (::ffff:127.0.0.1) on a dual-stack host, and checks that it
 // still selects the view registered for the plain IPv4 address.

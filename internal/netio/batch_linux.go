@@ -10,9 +10,6 @@ import (
 	"unsafe"
 )
 
-// BatchSyscalls reports whether this build uses real sendmmsg/recvmmsg.
-const BatchSyscalls = true
-
 // mmsghdr mirrors struct mmsghdr: a msghdr plus the kernel-written
 // received-length field. The trailing pad keeps the array stride at the
 // kernel's 8-byte alignment.
@@ -81,11 +78,8 @@ type UDPBatch struct {
 	segs     []int // GRO segment size per received buffer (0 = plain)
 
 	// peer-address state (withAddrs only): raw sockaddr storage written
-	// by recvmmsg and echoed back verbatim by sendmmsg.
-	names    [][]byte
-	echoIovs []syscall.Iovec
-	echoHdrs []mmsghdr
-	echoCtl  []cmsgSeg
+	// by recvmmsg and handed back verbatim to sendmmsg by SendStaged.
+	names [][]byte
 
 	// reply staging (withAddrs only): arbitrary response payloads queued
 	// against received-buffer indices, flushed by SendStaged. Grown by
@@ -104,10 +98,6 @@ type UDPBatch struct {
 	recvFn    func(fd uintptr) bool
 	recvGot   int // out: messages received
 	recvErr   error
-	echoFn    func(fd uintptr) bool
-	echoN     int // in: messages staged in echoIovs
-	echoDone  int // out: messages submitted
-	echoErr   error
 }
 
 // sockaddrStorage is large enough for any AF_INET/AF_INET6 sockaddr.
@@ -115,11 +105,12 @@ const sockaddrStorage = 28
 
 // NewUDPBatch builds batched I/O state for c: up to sendN messages per
 // send call, recvN buffers per receive call, each receive buffer bufSize
-// bytes. withAddrs enables peer-address capture (required for Echo on
-// unconnected sockets). When the kernel supports it, sends coalesce runs
-// of equal-size messages into single GSO super-datagrams and receives
-// accept coalesced buffers — size receive buffers for up to 64 segments
-// per buffer when responses may arrive coalesced.
+// bytes. withAddrs enables peer-address capture (required for PeerAddr
+// and Stage/SendStaged on unconnected sockets). When the kernel supports
+// it, sends coalesce runs of equal-size messages into single GSO
+// super-datagrams and receives accept coalesced buffers — size receive
+// buffers for up to 64 segments per buffer when responses may arrive
+// coalesced.
 func NewUDPBatch(c *net.UDPConn, sendN, recvN, bufSize int, withAddrs bool) (*UDPBatch, error) {
 	return NewUDPBatchConfig(c, BatchConfig{SendMsgs: sendN, RecvMsgs: recvN, BufSize: bufSize, Addrs: withAddrs})
 }
@@ -177,15 +168,9 @@ func NewUDPBatchConfig(c *net.UDPConn, cfg BatchConfig) (*UDPBatch, error) {
 	if withAddrs {
 		nameSlab := make([]byte, n*sockaddrStorage)
 		b.names = make([][]byte, n)
-		b.echoIovs = make([]syscall.Iovec, n)
-		b.echoHdrs = make([]mmsghdr, n)
-		b.echoCtl = make([]cmsgSeg, n)
 		for i := range b.names {
 			b.names[i] = nameSlab[i*sockaddrStorage : (i+1)*sockaddrStorage]
 			b.recvHdrs[i].hdr.Name = &b.names[i][0]
-			b.echoHdrs[i].hdr.Iov = &b.echoIovs[i]
-			b.echoHdrs[i].hdr.Iovlen = 1
-			b.echoHdrs[i].hdr.Name = &b.names[i][0]
 		}
 	}
 	b.sendFn = func(fd uintptr) bool {
@@ -221,23 +206,6 @@ func NewUDPBatchConfig(c *net.UDPConn, cfg BatchConfig) (*UDPBatch, error) {
 			b.recvGot = int(r1)
 			return true
 		}
-	}
-	b.echoFn = func(fd uintptr) bool {
-		for b.echoDone < b.echoN {
-			r1, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&b.echoHdrs[b.echoDone])), uintptr(b.echoN-b.echoDone), 0, 0, 0)
-			switch {
-			case errno == syscall.EAGAIN:
-				return false
-			case errno == syscall.EINTR:
-				continue
-			case errno != 0:
-				b.echoErr = errno
-				return true
-			}
-			b.echoDone += int(r1)
-		}
-		return true
 	}
 	return b, nil
 }
@@ -375,36 +343,6 @@ func (b *UDPBatch) Msg(i int) []byte { return b.bufs[i][:b.lens[i]] }
 // SegSize returns the GRO segment size of received buffer i, or 0 when
 // the buffer is a single plain datagram.
 func (b *UDPBatch) SegSize(i int) int { return b.segs[i] }
-
-// Echo sends back the first n received buffers (possibly modified in
-// place via Msg) to their senders in one or more sendmmsg calls.
-// Coalesced buffers are re-segmented on the wire with their original GRO
-// segment size. Only valid when the UDPBatch was built withAddrs.
-//
-//ldlint:noalloc
-func (b *UDPBatch) Echo(n int) (int, error) {
-	for i := 0; i < n; i++ {
-		b.echoIovs[i].Base = &b.bufs[i][0]
-		b.echoIovs[i].SetLen(b.lens[i])
-		hd := &b.echoHdrs[i].hdr
-		hd.Namelen = b.recvHdrs[i].hdr.Namelen
-		if b.gso && b.segs[i] > 0 && b.segs[i] < b.lens[i] {
-			stageSeg(hd, &b.echoCtl[i], b.segs[i])
-		} else {
-			hd.Control = nil
-			hd.SetControllen(0)
-		}
-	}
-	b.echoN = n
-	b.echoDone = 0
-	b.echoErr = nil
-	err := b.rc.Write(b.echoFn)
-	runtime.KeepAlive(b)
-	if err == nil {
-		err = b.echoErr
-	}
-	return b.echoDone, err
-}
 
 // PeerAddr decodes the sender address of received buffer i from the raw
 // sockaddr recvmmsg wrote. Only valid when the UDPBatch was built with

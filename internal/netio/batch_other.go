@@ -7,26 +7,24 @@ import (
 	"net/netip"
 )
 
-// BatchSyscalls reports whether this build uses real sendmmsg/recvmmsg.
-const BatchSyscalls = false
-
 // UDPBatch is the portable fallback: the same API over per-datagram
-// Write/ReadFromUDP loops, so callers batch unconditionally and only the
-// syscall count differs between platforms.
+// Write/ReadFromUDP calls, so callers batch unconditionally and only the
+// syscall count differs between platforms. Recv reads one datagram per
+// call, so there is one receive buffer, length and peer address however
+// wide a batch the caller asked for.
 type UDPBatch struct {
 	conn  *net.UDPConn
-	bufs  [][]byte
-	lens  []int
-	addrs []netip.AddrPort
+	buf   []byte
+	n     int
+	addr  netip.AddrPort
 	peers bool
 
 	stageMsgs [][]byte
-	stageIdx  []int
 }
 
 // NewUDPBatch builds batched I/O state for c; see the Linux variant for
-// the contract. The fallback sends with a loop, so sendN only bounds the
-// progress-check chunking and receive state is sized by recvN.
+// the contract. The fallback sends and receives one datagram per call, so
+// sendN and recvN change nothing.
 func NewUDPBatch(c *net.UDPConn, sendN, recvN, bufSize int, withAddrs bool) (*UDPBatch, error) {
 	return NewUDPBatchConfig(c, BatchConfig{SendMsgs: sendN, RecvMsgs: recvN, BufSize: bufSize, Addrs: withAddrs})
 }
@@ -34,22 +32,12 @@ func NewUDPBatch(c *net.UDPConn, sendN, recvN, bufSize int, withAddrs bool) (*UD
 // NewUDPBatchConfig builds batched I/O state for c from cfg. The
 // fallback never coalesces, so cfg.NoOffload changes nothing.
 func NewUDPBatchConfig(c *net.UDPConn, cfg BatchConfig) (*UDPBatch, error) {
-	_, n, bufSize := clampBatch(cfg.SendMsgs, cfg.RecvMsgs, cfg.BufSize)
-	b := &UDPBatch{
-		conn:  c,
-		bufs:  make([][]byte, n),
-		lens:  make([]int, n),
-		addrs: make([]netip.AddrPort, n),
-		peers: cfg.Addrs,
-	}
-	for i := range b.bufs {
-		b.bufs[i] = make([]byte, bufSize)
-	}
-	return b, nil
+	_, _, bufSize := clampBatch(cfg.SendMsgs, cfg.RecvMsgs, cfg.BufSize)
+	return &UDPBatch{conn: c, buf: make([]byte, bufSize), peers: cfg.Addrs}, nil
 }
 
-// Cap returns the per-call receive message capacity.
-func (b *UDPBatch) Cap() int { return len(b.bufs) }
+// Cap returns the per-call receive message capacity: one.
+func (b *UDPBatch) Cap() int { return 1 }
 
 // Send transmits msgs with one Write per datagram. Progress contract as
 // on Linux: sent < len(msgs) implies err != nil.
@@ -67,57 +55,39 @@ func (b *UDPBatch) Send(msgs [][]byte) (int, error) {
 // Recv reads one datagram (the portable loop cannot drain a burst in one
 // call without deadline games).
 func (b *UDPBatch) Recv() (int, error) {
-	var (
-		n   int
-		err error
-	)
+	var err error
 	if b.peers {
-		n, b.addrs[0], err = b.conn.ReadFromUDPAddrPort(b.bufs[0])
+		b.n, b.addr, err = b.conn.ReadFromUDPAddrPort(b.buf)
 	} else {
-		n, err = b.conn.Read(b.bufs[0])
+		b.n, err = b.conn.Read(b.buf)
 	}
 	if err != nil {
 		return 0, err
 	}
-	b.lens[0] = n
 	return 1, nil
 }
 
-// Msg returns received datagram i from the last Recv.
-func (b *UDPBatch) Msg(i int) []byte { return b.bufs[i][:b.lens[i]] }
+// Msg returns the datagram the last Recv read; i is always 0.
+func (b *UDPBatch) Msg(i int) []byte { return b.buf[:b.n] }
 
 // SegSize returns the GRO segment size of received buffer i; the
 // portable fallback never coalesces, so it is always 0.
 func (b *UDPBatch) SegSize(i int) int { return 0 }
 
-// PeerAddr returns the sender address of received datagram i. Only valid
-// when the UDPBatch was built with addresses, between a Recv and the
-// next.
+// PeerAddr returns the sender address of the datagram the last Recv
+// read. Only valid when the UDPBatch was built with addresses, between a
+// Recv and the next.
 //
 //ldlint:noalloc
 func (b *UDPBatch) PeerAddr(i int) netip.AddrPort {
-	a := b.addrs[i]
-	return netip.AddrPortFrom(a.Addr().Unmap(), a.Port())
+	return netip.AddrPortFrom(b.addr.Addr().Unmap(), b.addr.Port())
 }
 
-// Echo sends back the first n received datagrams to their senders.
-//
-//ldlint:noalloc
-func (b *UDPBatch) Echo(n int) (int, error) {
-	for i := 0; i < n; i++ {
-		if _, err := b.conn.WriteToUDPAddrPort(b.bufs[i][:b.lens[i]], b.addrs[i]); err != nil {
-			return i, err
-		}
-	}
-	return n, nil
-}
-
-// Stage queues msg as a reply to the sender of received datagram i.
+// Stage queues msg as a reply to the sender of the received datagram.
 //
 //ldlint:noalloc
 func (b *UDPBatch) Stage(i int, msg []byte) {
 	b.stageMsgs = append(b.stageMsgs, msg)
-	b.stageIdx = append(b.stageIdx, i)
 }
 
 // SendStaged transmits every staged reply, one write per datagram, and
@@ -125,15 +95,12 @@ func (b *UDPBatch) Stage(i int, msg []byte) {
 //
 //ldlint:noalloc
 func (b *UDPBatch) SendStaged() (int, error) {
-	for i, m := range b.stageMsgs {
-		if _, err := b.conn.WriteToUDPAddrPort(m, b.addrs[b.stageIdx[i]]); err != nil {
-			b.stageMsgs = b.stageMsgs[:0]
-			b.stageIdx = b.stageIdx[:0]
+	staged := b.stageMsgs
+	b.stageMsgs = b.stageMsgs[:0]
+	for i, m := range staged {
+		if _, err := b.conn.WriteToUDPAddrPort(m, b.addr); err != nil {
 			return i, err
 		}
 	}
-	n := len(b.stageMsgs)
-	b.stageMsgs = b.stageMsgs[:0]
-	b.stageIdx = b.stageIdx[:0]
-	return n, nil
+	return len(staged), nil
 }

@@ -6,13 +6,15 @@
 //
 // A UDPBatch wraps one *net.UDPConn with preallocated message headers,
 // iovecs, and receive buffers, so steady-state Send/Recv perform no
-// allocation. The same type serves both sides of a loopback benchmark:
-// connected replay sockets (Send/Recv) and an unconnected echo sink
-// (Recv with peer addresses, then Echo).
+// allocation. The same type serves both ends of the pipeline: the replay
+// client's connected sockets (Send/Recv) and the meta-DNS-server's
+// unconnected ones (Recv with peer addresses, Stage a reply against the
+// buffer it answers, SendStaged).
 //
 // All methods are safe for the usual one-reader/one-writer socket
-// discipline: Recv and Echo share receive state and must be called from
-// one goroutine; Send keeps its own state and may run from another.
+// discipline: Recv, Stage and SendStaged read the receive state and must
+// be called from one goroutine; Send may run from another, but shares
+// send state with SendStaged, so a socket uses one or the other.
 package netio
 
 // MaxBatch is the largest per-call message count a UDPBatch supports;
@@ -29,12 +31,13 @@ type BatchConfig struct {
 	// BufSize is the per-receive-buffer size. Size for up to 64 GRO
 	// segments per buffer when peers may send coalesced.
 	BufSize int
-	// Addrs enables peer-address capture (required for Echo, PeerAddr,
-	// and Stage/SendStaged on unconnected sockets).
+	// Addrs enables peer-address capture (required for PeerAddr and
+	// Stage/SendStaged on unconnected sockets).
 	Addrs bool
 	// NoOffload disables UDP GSO send coalescing and GRO receive even
 	// when the kernel supports them, degrading to plain per-datagram
-	// sendmmsg/recvmmsg. For A/B measurement and fault isolation.
+	// sendmmsg/recvmmsg — the shape a kernel that refuses the socket
+	// options gives anyway. For A/B measurement and fault isolation.
 	NoOffload bool
 }
 

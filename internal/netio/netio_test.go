@@ -29,77 +29,112 @@ func segments(b *UDPBatch, i int, fn func(m []byte)) int {
 	return n
 }
 
-// TestBatchSendRecvEcho round-trips a burst: a connected client Sends a
-// batch (coalesced via GSO where supported), an unconnected sink Recvs
-// with peer addresses, flips a byte in every datagram, and Echoes; the
-// client Recvs the responses. Exercises the GSO/GRO segment accounting
-// on both directions.
-func TestBatchSendRecvEcho(t *testing.T) {
-	sinkConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+// echoPeer runs the server side of the API until the test ends: every
+// datagram received goes back to its sender, first byte flipped to 'M',
+// through Recv → Stage (one reply per GRO segment, aliasing the receive
+// buffer) → SendStaged. The batch is 8 wide, so one coalesced buffer
+// stages more replies than SendStaged has headers for.
+func echoPeer(t *testing.T, noOffload bool) *net.UDPAddr {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sinkConn.Close()
-	sink, err := NewUDPBatch(sinkConn, 32, 32, 512, true)
+	b, err := NewUDPBatchConfig(conn, BatchConfig{SendMsgs: 8, RecvMsgs: 8, BufSize: 64 << 10, Addrs: true, NoOffload: noOffload})
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			n, err := b.Recv()
+			if err != nil {
+				return // closed
+			}
+			staged := 0
+			for i := 0; i < n; i++ {
+				staged += segments(b, i, func(m []byte) { m[0] = 'M'; b.Stage(i, m) })
+			}
+			if sent, err := b.SendStaged(); err != nil || sent != staged {
+				t.Errorf("SendStaged = %d, %v; want %d", sent, err, staged)
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() { conn.Close(); <-done })
+	return conn.LocalAddr().(*net.UDPAddr)
+}
 
-	raddr := sinkConn.LocalAddr().(*net.UDPAddr)
-	clientConn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clientConn.Close()
-	client, err := NewUDPBatch(clientConn, 32, 32, 512, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const burst = 20
-	msgs := make([][]byte, burst)
-	for i := range msgs {
-		msgs[i] = []byte(fmt.Sprintf("msg-%03d", i))
-	}
-	sent, err := client.Send(msgs)
-	if err != nil || sent != burst {
-		t.Fatalf("Send = %d, %v", sent, err)
-	}
-
-	// Sink: drain the burst (possibly across several Recv calls), echo
-	// each batch back with the first byte of every datagram flipped.
-	echoed := 0
-	sinkConn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for echoed < burst {
-		n, err := sink.Recv()
-		if err != nil {
-			t.Fatalf("sink recv after %d: %v", echoed, err)
-		}
-		for i := 0; i < n; i++ {
-			echoed += segments(sink, i, func(m []byte) { m[0] = 'M' })
-		}
-		en, err := sink.Echo(n)
-		if err != nil || en != n {
-			t.Fatalf("Echo = %d, %v", en, err)
-		}
-	}
-
-	// Client: collect all responses, splitting coalesced buffers.
-	got := map[string]bool{}
-	clientConn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for len(got) < burst {
-		n, err := client.Recv()
-		if err != nil {
-			t.Fatalf("client recv after %d: %v", len(got), err)
-		}
-		for i := 0; i < n; i++ {
-			segments(client, i, func(m []byte) { got[string(m)] = true })
-		}
-	}
-	for i := 0; i < burst; i++ {
-		want := fmt.Sprintf("Msg-%03d", i)
-		if !got[want] {
-			t.Errorf("response %q missing (got %v)", want, got)
+// TestBatchStagedReplies is the offload matrix: with GSO/GRO on and off,
+// a peer answering through Recv → Stage → SendStaged must return every
+// datagram exactly once, whole, and to the socket that sent it — for a
+// run of equal-size datagrams from one peer (the GSO-coalescing case),
+// for mixed sizes (a reply that differs from its neighbours must leave
+// the run, never be clipped or padded to the segment size), and for two
+// peers interleaved in one receive batch. On builds without sendmmsg the
+// same cases run through the portable one-datagram fallback.
+func TestBatchStagedReplies(t *testing.T) {
+	const perPeer, chunk = 40, 8
+	for _, sc := range []struct {
+		name  string
+		peers int
+		size  func(i int) int
+	}{
+		{"equal-size same-peer run", 1, func(int) int { return 16 }},
+		{"mixed sizes", 1, func(i int) int { return 16 + i%3*7 }},
+		{"two peers", 2, func(int) int { return 16 }},
+	} {
+		for _, noOffload := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/NoOffload=%v", sc.name, noOffload), func(t *testing.T) {
+				addr := echoPeer(t, noOffload)
+				clients := make([]*UDPBatch, sc.peers)
+				msgs := make([][][]byte, sc.peers)
+				for p := range clients {
+					conn, err := net.DialUDP("udp", nil, addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer conn.Close()
+					conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+					clients[p], err = NewUDPBatchConfig(conn, BatchConfig{SendMsgs: chunk, RecvMsgs: 32, BufSize: 4096, NoOffload: noOffload})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < perPeer; i++ {
+						m := bytes.Repeat([]byte{'.'}, sc.size(i))
+						copy(m, fmt.Sprintf("m%d-%03d", p, i))
+						msgs[p] = append(msgs[p], m)
+					}
+				}
+				// Peers take turns a chunk at a time, so the echo peer's
+				// receive batches interleave them.
+				for off := 0; off < perPeer; off += chunk {
+					for p, c := range clients {
+						if sent, err := c.Send(msgs[p][off : off+chunk]); err != nil || sent != chunk {
+							t.Fatalf("peer %d Send = %d, %v", p, sent, err)
+						}
+					}
+				}
+				for p, c := range clients {
+					got := map[string]int{}
+					for total := 0; total < perPeer; {
+						n, err := c.Recv()
+						if err != nil {
+							t.Fatalf("peer %d recv after %d: %v", p, total, err)
+						}
+						for i := 0; i < n; i++ {
+							total += segments(c, i, func(m []byte) { got[string(m)]++ })
+						}
+					}
+					for _, m := range msgs[p] {
+						want := "M" + string(m[1:])
+						if got[want] != 1 {
+							t.Errorf("peer %d: reply %q seen %d times (got %v)", p, want, got[want], got)
+						}
+					}
+				}
+			})
 		}
 	}
 }

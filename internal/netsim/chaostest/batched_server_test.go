@@ -40,7 +40,6 @@ func TestScenarioBatchedServerThroughLossyRelay(t *testing.T) {
 		Engine:     e,
 		UDPWorkers: 2,
 		ReusePort:  true,
-		Batch:      true,
 	}
 	if err := srv.Start("127.0.0.1:0", "", ""); err != nil {
 		t.Fatal(err)

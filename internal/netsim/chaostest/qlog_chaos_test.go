@@ -104,7 +104,7 @@ func TestScenarioQlogExportUnderChaos(t *testing.T) {
 	pipe.Start()
 	e.SetQlog(pipe)
 
-	srv := &authserver.Server{Engine: e, UDPWorkers: 2, ReusePort: true, Batch: true}
+	srv := &authserver.Server{Engine: e, UDPWorkers: 2, ReusePort: true}
 	if err := srv.Start("127.0.0.1:0", "", ""); err != nil {
 		t.Fatal(err)
 	}

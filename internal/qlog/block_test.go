@@ -11,7 +11,7 @@ import (
 )
 
 // blockTestEvents builds n varied events for block round-trip tests.
-func blockTestEvents(t *testing.T, n int) []Event {
+func blockTestEvents(t testing.TB, n int) []Event {
 	t.Helper()
 	events := make([]Event, n)
 	for i := range events {

@@ -66,7 +66,7 @@ func TestQlogSmoke(t *testing.T) {
 	reg := obs.NewRegistry()
 	pipe.Instrument(reg)
 
-	srv := &authserver.Server{Engine: e, UDPWorkers: 2, ReusePort: true, Batch: true}
+	srv := &authserver.Server{Engine: e, UDPWorkers: 2, ReusePort: true}
 	if err := srv.Start("127.0.0.1:0", "", ""); err != nil {
 		t.Fatal(err)
 	}
