@@ -4,7 +4,8 @@
 # compiler escape cross-check), build, the full test suite, a
 # short-form run of the engine hot-path benchmarks (which also executes
 # their allocation sanity assertions), the observability smoke test, and
-# a short fuzz budget over the DNS wire codec. The end-to-end smoke of the
+# a short fuzz budget over the DNS wire codec, the block frame (file,
+# link and qlog stream) and the qlog event codec. The end-to-end smoke of the
 # repo's benchmark (`make bench-e2e`) is TestSmokeEveryWorkload in
 # internal/benchkit, part of `make test`. The race-detector suite
 # (`make race`) runs as its own CI job in parallel with the gate, as does
@@ -51,8 +52,9 @@ race:
 # loop, so a send/record ordering race or a pacing assertion that only
 # holds on an idle box fails here, not once a month in CI. authserver is
 # here for the shards Engine.Respond lends from goroutine to goroutine,
-# SPSC qlog producers included. The hog is killed however the tests end.
-FLAKE_PKGS ?= ./internal/replay ./internal/core ./internal/netio ./internal/authserver
+# SPSC qlog producers included; netsim for its delivered+dropped
+# conservation counters. The hog is killed however the tests end.
+FLAKE_PKGS ?= ./internal/replay ./internal/core ./internal/netio ./internal/authserver ./internal/netsim
 flake:
 	@( while :; do :; done ) & hog=$$!; trap 'kill $$hog' EXIT; \
 	$(GO) test -count=20 -race $(FLAKE_PKGS)
@@ -123,7 +125,10 @@ sim-smoke:
 # Short fuzz budget over the DNS wire codec and the LDTRC02 block trace
 # codec: hostile decode must never panic, decode→encode must reach a
 # byte-identical fixed point, and arbitrary block files must error
-# cleanly through the full open/index/parallel-decode path. The zone
+# cleanly through the full open/index/parallel-decode path and, read
+# front to back as the controller↔client link and the qlog stream read
+# them (FuzzBlockStream), through the sequential frame reader;
+# FuzzQlogBlockDecode is the qlog event cursor behind that reader. The zone
 # target checks the compiled-index Lookup against the map-walking
 # reference on arbitrary (qname, qtype, DO); the authserver target
 # checks that a response-cache hit, a miss and a cache-off engine answer
@@ -136,6 +141,8 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzBlockRoundTrip$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockDecode$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockHeader$$' -fuzztime 5s ./internal/trace/
+	$(GO) test -run XXX -fuzz 'FuzzBlockStream$$' -fuzztime 5s ./internal/trace/
+	$(GO) test -run XXX -fuzz 'FuzzQlogBlockDecode$$' -fuzztime 5s ./internal/qlog/
 
 # Full benchmark sweep (regenerates the paper's tables and figures).
 bench:

@@ -1,7 +1,7 @@
 // Command ldclient runs a remote client instance (Figure 4): a
 // distributor plus querier pool that listens for a controller's TCP link,
-// receives the framed query stream with its time-synchronization
-// broadcast, and replays against the configured targets. Combine with
+// receives its time-synchronization broadcast and an LDTRC02 block stream
+// of queries, and replays against the configured targets. Combine with
 // `ldplayer replay -clients host1:port,host2:port` on the controller host
 // to reproduce the multi-host topology of Figure 5.
 //
@@ -72,12 +72,15 @@ func run(listen, udp, tcp string, queriers int, idle time.Duration, once bool, o
 		}
 		en.Instrument(reg)
 		st, err := replay.ServeClient(ln, en)
+		if st != nil {
+			// A link that broke mid-trace still reports what it replayed.
+			fmt.Printf("replayed: sent=%d responses=%d errors=%d conns=%d sources=%d in %v (%.0f q/s)\n",
+				st.Sent, st.Responses, st.Errors, st.ConnsOpened, st.Sources,
+				st.Duration.Round(time.Millisecond), float64(st.Sent)/st.Duration.Seconds())
+		}
 		if err != nil {
 			return err
 		}
-		fmt.Printf("replayed: sent=%d responses=%d errors=%d conns=%d sources=%d in %v (%.0f q/s)\n",
-			st.Sent, st.Responses, st.Errors, st.ConnsOpened, st.Sources,
-			st.Duration.Round(time.Millisecond), float64(st.Sent)/st.Duration.Seconds())
 		if once {
 			return nil
 		}

@@ -4,21 +4,20 @@
 //
 // Usage:
 //
-//	ldplayer stats  -in trace.bin
-//	ldplayer mutate -in trace.bin -out tcp.bin -protocol tcp -do
-//	ldplayer replay -in trace.bin -udp 127.0.0.1:5300 [-tcp ...] [-fast]
+//	ldplayer stats  -in trace.blk
+//	ldplayer mutate -in trace.blk -out tcp.blk -protocol tcp -do
+//	ldplayer replay -in trace.blk -udp 127.0.0.1:5300 [-tcp ...] [-fast]
 //	ldplayer experiment -name fig10 [-paper-scale]
 //	ldplayer demo
 //
-// Input format is selected by extension: .pcap, .txt, or .bin.
+// Trace formats are selected by extension (internal/tracefile): .pcap,
+// .pcapng, .txt, .blk, .qlog and .qlog.z in; .txt and .blk out.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/netip"
 	"os"
 	"strings"
@@ -28,10 +27,10 @@ import (
 	"ldplayer/internal/mutate"
 	"ldplayer/internal/netsim"
 	"ldplayer/internal/obs"
-	"ldplayer/internal/pcap"
 	"ldplayer/internal/qlog"
 	"ldplayer/internal/replay"
 	"ldplayer/internal/trace"
+	"ldplayer/internal/tracefile"
 	"ldplayer/internal/traceg"
 )
 
@@ -74,82 +73,10 @@ func usage() {
   demo                                      end-to-end self-contained demo`)
 }
 
-// openTrace opens a trace file by extension.
-func openTrace(path string) (trace.Reader, func() error, error) {
-	if strings.HasSuffix(path, ".blk") {
-		// Block traces open by path: the reader mmaps and paces its own
-		// parallel decode pipeline.
-		br, err := trace.OpenBlockFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return br, br.Close, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch {
-	case strings.HasSuffix(path, ".pcapng"):
-		r, err := pcap.NewNgTraceReader(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return r, f.Close, nil
-	case strings.HasSuffix(path, ".pcap"):
-		r, err := pcap.NewTraceReader(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return r, f.Close, nil
-	case strings.HasSuffix(path, ".txt"):
-		return trace.NewTextReader(f), f.Close, nil
-	case strings.HasSuffix(path, ".qlog"), strings.HasSuffix(path, ".qlog.z"):
-		return qlog.NewEntryReader(f), f.Close, nil
-	default:
-		return trace.NewBinaryReader(f), f.Close, nil
-	}
-}
-
-// createWriter creates a trace writer by extension; closeFn flushes.
-func createWriter(path string) (trace.Writer, func() error, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if strings.HasSuffix(path, ".txt") {
-		w := trace.NewTextWriter(f)
-		return w, func() error {
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			return f.Close()
-		}, nil
-	}
-	if strings.HasSuffix(path, ".blk") {
-		w := trace.NewBlockWriter(f)
-		return w, func() error {
-			if err := w.Close(); err != nil {
-				return err
-			}
-			return f.Close()
-		}, nil
-	}
-	w := trace.NewBinaryWriter(f)
-	return w, func() error {
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		return f.Close()
-	}, nil
-}
-
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	kind := fs.String("kind", "broot", "trace family: broot, rec, or syn")
-	out := fs.String("out", "", "output trace (.txt or .bin)")
+	out := fs.String("out", "", "output trace (.txt or .blk)")
 	duration := fs.Duration("duration", 10*time.Second, "trace duration")
 	rate := fs.Float64("rate", 1000, "broot: median queries/second")
 	clients := fs.Int("clients", 10000, "broot: client population")
@@ -179,23 +106,9 @@ func cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, closeOut, err := createWriter(*out)
+	n, err := tracefile.WriteAll(*out, false, r)
 	if err != nil {
-		return err
-	}
-	n := 0
-	for {
-		e, nerr := r.Next()
-		if nerr != nil {
-			break
-		}
-		if err := w.Write(e); err != nil {
-			return err
-		}
-		n++
-	}
-	if err := closeOut(); err != nil {
-		return err
+		return fmt.Errorf("gen: %w", err)
 	}
 	fmt.Printf("generated %d entries to %s\n", n, *out)
 	return nil
@@ -203,16 +116,16 @@ func cmdGen(args []string) error {
 
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	in := fs.String("in", "", "input trace (.pcap/.txt/.bin)")
+	in := fs.String("in", "", "input trace (.pcap/.txt/.blk/.qlog)")
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("stats: -in is required")
 	}
-	r, closeFn, err := openTrace(*in)
+	r, err := tracefile.Open(*in)
 	if err != nil {
 		return err
 	}
-	defer closeFn()
+	defer r.Close()
 	st, err := traceg.ComputeStats(r)
 	if err != nil {
 		return err
@@ -229,7 +142,7 @@ func cmdStats(args []string) error {
 func cmdMutate(args []string) error {
 	fs := flag.NewFlagSet("mutate", flag.ExitOnError)
 	in := fs.String("in", "", "input trace")
-	out := fs.String("out", "", "output trace (.txt or .bin)")
+	out := fs.String("out", "", "output trace (.txt or .blk)")
 	protocol := fs.String("protocol", "", "force protocol: udp, tcp or tls")
 	do := fs.Bool("do", false, "set the EDNS DO bit on every query")
 	tag := fs.String("tag", "", "prepend unique labels with this prefix (§4.2)")
@@ -269,32 +182,14 @@ func cmdMutate(args []string) error {
 		muts = append(muts, mutate.Limit(*limit))
 	}
 
-	r, closeIn, err := openTrace(*in)
+	r, err := tracefile.Open(*in)
 	if err != nil {
 		return err
 	}
-	defer closeIn()
-	w, closeOut, err := createWriter(*out)
+	defer r.Close()
+	n, err := tracefile.WriteAll(*out, false, mutate.NewPipeline(muts...).Reader(r))
 	if err != nil {
-		return err
-	}
-	src := mutate.NewPipeline(muts...).Reader(r)
-	n := 0
-	for {
-		e, err := src.Next()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				return fmt.Errorf("mutate: entry %d: %w", n+1, err)
-			}
-			break
-		}
-		if err := w.Write(e); err != nil {
-			return err
-		}
-		n++
-	}
-	if err := closeOut(); err != nil {
-		return err
+		return fmt.Errorf("mutate: %w", err)
 	}
 	fmt.Printf("wrote %d entries to %s\n", n, *out)
 	return nil
@@ -323,11 +218,11 @@ func cmdReplay(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("replay: -in is required")
 	}
-	r, closeFn, err := openTrace(*in)
+	r, err := tracefile.Open(*in)
 	if err != nil {
 		return err
 	}
-	defer closeFn()
+	defer r.Close()
 	if *clients != "" {
 		// Remote-controller mode: stream the trace to ldclient instances
 		// over TCP links; they own the sockets and the timing.

@@ -1,34 +1,32 @@
 // Command traceconv converts between LDplayer's trace formats (Figure 3):
-// pcap network captures, editable plain text, the length-prefixed binary
-// stream (LDTRC01), and the block-structured format (LDTRC02, .blk) the
-// replay engine mmaps and decodes in parallel. Query-log telemetry
-// captures (.qlog / .qlog.z, from metadns -qlog or a TCP collector) read
-// as traces too, so a live capture converts straight into replay input.
+// pcap network captures, editable plain text, and the block-structured
+// binary format (LDTRC02, .blk) the replay engine mmaps and decodes in
+// parallel. Query-log telemetry captures (.qlog / .qlog.z, from metadns
+// -qlog or a TCP collector) read as traces too, so a live capture
+// converts straight into replay input.
 //
 // Usage:
 //
-//	traceconv -in capture.pcap -out queries.txt     # pcap  -> text
-//	traceconv -in queries.txt  -out queries.bin     # text  -> binary
-//	traceconv -in queries.bin  -out queries.pcap    # binary -> pcap
-//	traceconv -in server.qlog  -out queries.bin     # qlog  -> binary
-//	traceconv -in queries.bin  -out queries.blk     # binary -> blocks
-//	traceconv -in queries.blk  -out queries.txt -compress  # and back
+//	traceconv -in capture.pcap -out queries.txt     # pcap   -> text
+//	traceconv -in queries.txt  -out queries.blk     # text   -> blocks
+//	traceconv -in queries.blk  -out queries.pcap    # blocks -> pcap
+//	traceconv -in server.qlog  -out queries.blk     # qlog   -> blocks
+//	traceconv -in queries.blk  -out archive.blk -compress  # DEFLATE blocks
 //
-// Formats are selected by extension (.pcap/.txt/.bin/.blk/.qlog input);
-// -compress DEFLATEs .blk output blocks (archival; raw is replay-speed).
+// Formats are selected by extension (.pcap/.pcapng/.txt/.blk/.qlog/.qlog.z
+// in, .txt/.blk/.pcap out); any other extension is an error. -compress
+// DEFLATEs .blk output blocks (archival; raw is replay-speed).
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"ldplayer/internal/pcap"
-	"ldplayer/internal/qlog"
 	"ldplayer/internal/trace"
+	"ldplayer/internal/tracefile"
 )
 
 func main() {
@@ -47,111 +45,55 @@ func run(in, out string, queriesOnly, compress bool) error {
 	if in == "" || out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
-	var r trace.Reader
-	if strings.HasSuffix(in, ".blk") {
-		br, err := trace.OpenBlockFile(in)
-		if err != nil {
-			return err
-		}
-		defer br.Close()
-		r = br
-		return convert(r, out, queriesOnly, compress)
-	}
-	inF, err := os.Open(in)
+	f, err := tracefile.Open(in)
 	if err != nil {
 		return err
 	}
-	defer inF.Close()
-
-	switch {
-	case strings.HasSuffix(in, ".pcapng"):
-		if r, err = pcap.NewNgTraceReader(inF); err != nil {
-			return err
-		}
-	case strings.HasSuffix(in, ".pcap"):
-		if r, err = pcap.NewTraceReader(inF); err != nil {
-			return err
-		}
-	case strings.HasSuffix(in, ".txt"):
-		r = trace.NewTextReader(inF)
-	case strings.HasSuffix(in, ".qlog"), strings.HasSuffix(in, ".qlog.z"):
-		r = qlog.NewEntryReader(inF)
-	default:
-		r = trace.NewBinaryReader(inF)
+	defer f.Close()
+	var r trace.Reader = f
+	if queriesOnly {
+		r = queryFilter{r}
 	}
-	return convert(r, out, queriesOnly, compress)
-}
-
-func convert(r trace.Reader, out string, queriesOnly, compress bool) error {
-
-	outF, err := os.Create(out)
+	n, err := convert(r, out, compress)
 	if err != nil {
 		return err
-	}
-	defer outF.Close()
-
-	n := 0
-	if strings.HasSuffix(out, ".pcap") {
-		// pcap output buffers entries because the writer needs per-flow
-		// TCP sequence state in one pass.
-		var entries []trace.Entry
-		for {
-			e, err := r.Next()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				return err
-			}
-			if queriesOnly && isResponse(e) {
-				continue
-			}
-			entries = append(entries, e)
-		}
-		if err := pcap.WriteDNSPcap(outF, entries); err != nil {
-			return err
-		}
-		n = len(entries)
-	} else {
-		var w trace.Writer
-		var flush func() error
-		switch {
-		case strings.HasSuffix(out, ".txt"):
-			tw := trace.NewTextWriter(outF)
-			w, flush = tw, tw.Flush
-		case strings.HasSuffix(out, ".blk"):
-			codec := trace.BlockRaw
-			if compress {
-				codec = trace.BlockFlate
-			}
-			kw := trace.NewBlockWriterOptions(outF, trace.BlockWriterOptions{Codec: codec})
-			w, flush = kw, kw.Close
-		default:
-			bw := trace.NewBinaryWriter(outF)
-			w, flush = bw, bw.Flush
-		}
-		for {
-			e, err := r.Next()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				return err
-			}
-			if queriesOnly && isResponse(e) {
-				continue
-			}
-			if err := w.Write(e); err != nil {
-				return err
-			}
-			n++
-		}
-		if err := flush(); err != nil {
-			return err
-		}
 	}
 	fmt.Printf("converted %d entries -> %s\n", n, out)
 	return nil
+}
+
+// convert copies r into a new trace at out and returns the entry count.
+func convert(r trace.Reader, out string, compress bool) (int, error) {
+	if !strings.HasSuffix(out, ".pcap") {
+		return tracefile.WriteAll(out, compress, r)
+	}
+	// pcap output buffers entries because the writer needs per-flow TCP
+	// sequence state in one pass.
+	entries, err := trace.ReadAll(r)
+	if err != nil {
+		return 0, err
+	}
+	outF, err := os.Create(out)
+	if err != nil {
+		return 0, err
+	}
+	if err := pcap.WriteDNSPcap(outF, entries); err != nil {
+		outF.Close()
+		return 0, err
+	}
+	return len(entries), outF.Close()
+}
+
+// queryFilter drops responses from a trace (-queries-only).
+type queryFilter struct{ trace.Reader }
+
+func (f queryFilter) Next() (trace.Entry, error) {
+	for {
+		e, err := f.Reader.Next()
+		if err != nil || !isResponse(e) {
+			return e, err
+		}
+	}
 }
 
 func isResponse(e trace.Entry) bool {

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,45 +35,25 @@ func testEntries(t *testing.T, n int) []trace.Entry {
 	return out
 }
 
-func writeBinary(t *testing.T, path string, entries []trace.Entry) {
+func writeBlocks(t *testing.T, path string, entries []trace.Entry) {
 	t.Helper()
-	f, err := os.Create(path)
+	data, err := trace.WriteBlockTrace(entries, trace.BlockWriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := trace.NewBinaryWriter(f)
-	for _, e := range entries {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func readTrace(t *testing.T, path string) []trace.Entry {
+func readBlocks(t *testing.T, path string) []trace.Entry {
 	t.Helper()
-	var r trace.Reader
-	if filepath.Ext(path) == ".blk" {
-		br, err := trace.OpenBlockFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer br.Close()
-		r = br
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		r = trace.NewBinaryReader(f)
+	br, err := trace.OpenBlockFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	entries, err := trace.ReadAll(r)
+	defer br.Close()
+	entries, err := trace.ReadAll(br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,67 +65,131 @@ func readTrace(t *testing.T, path string) []trace.Entry {
 	return entries
 }
 
-// TestConvertBinaryBlockRoundTrip drives the CLI's run() through
-// LDTRC01 -> LDTRC02 -> LDTRC01 (raw, then compressed blocks) and
-// requires byte-identical entries back.
-func TestConvertBinaryBlockRoundTrip(t *testing.T) {
+func sameFile(t *testing.T, a, b string) {
+	t.Helper()
+	da, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(da, db) {
+		t.Errorf("%s and %s differ", a, b)
+	}
+}
+
+// TestConvertBlockRoundTrip drives the CLI's run() through blocks ->
+// blocks (raw, then compressed) -> raw blocks and requires byte-identical
+// entries in the middle and a byte-identical file at the end.
+func TestConvertBlockRoundTrip(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
 			dir := t.TempDir()
-			binIn := filepath.Join(dir, "in.bin")
-			blk := filepath.Join(dir, "mid.blk")
-			binOut := filepath.Join(dir, "out.bin")
+			in := filepath.Join(dir, "in.blk")
+			mid := filepath.Join(dir, "mid.blk")
+			out := filepath.Join(dir, "out.blk")
 			want := testEntries(t, 300)
-			writeBinary(t, binIn, want)
+			writeBlocks(t, in, want)
 
-			if err := run(binIn, blk, false, compress); err != nil {
+			if err := run(in, mid, false, compress); err != nil {
 				t.Fatal(err)
 			}
-			if err := run(blk, binOut, false, false); err != nil {
+			if err := run(mid, out, false, false); err != nil {
 				t.Fatal(err)
 			}
-
-			mid := readTrace(t, blk)
-			got := readTrace(t, binOut)
-			for _, round := range [][]trace.Entry{mid, got} {
-				if len(round) != len(want) {
-					t.Fatalf("round trip produced %d entries, want %d", len(round), len(want))
-				}
-				for i := range round {
-					a, b := round[i], want[i]
-					if !a.Time.Equal(b.Time) || a.Src != b.Src || a.Dst != b.Dst ||
-						a.Protocol != b.Protocol || string(a.Message) != string(b.Message) {
-						t.Fatalf("entry %d mismatch:\n got %+v\nwant %+v", i, a, b)
-					}
+			got := readBlocks(t, mid)
+			if len(got) != len(want) {
+				t.Fatalf("round trip produced %d entries, want %d", len(got), len(want))
+			}
+			for i := range got {
+				a, b := got[i], want[i]
+				if !a.Time.Equal(b.Time) || a.Src != b.Src || a.Dst != b.Dst ||
+					a.Protocol != b.Protocol || string(a.Message) != string(b.Message) {
+					t.Fatalf("entry %d mismatch:\n got %+v\nwant %+v", i, a, b)
 				}
 			}
+			sameFile(t, in, out)
 		})
 	}
 }
 
-// TestConvertTextBlock exercises text -> blocks -> text.
+// TestConvertTextBlock: text -> blocks -> text is byte-identical.
 func TestConvertTextBlock(t *testing.T) {
 	dir := t.TempDir()
-	binIn := filepath.Join(dir, "in.bin")
+	in := filepath.Join(dir, "in.blk")
 	txt := filepath.Join(dir, "a.txt")
 	blk := filepath.Join(dir, "b.blk")
 	txt2 := filepath.Join(dir, "c.txt")
-	writeBinary(t, binIn, testEntries(t, 50))
+	writeBlocks(t, in, testEntries(t, 50))
 
-	for _, step := range [][2]string{{binIn, txt}, {txt, blk}, {blk, txt2}} {
+	for _, step := range [][2]string{{in, txt}, {txt, blk}, {blk, txt2}} {
 		if err := run(step[0], step[1], false, false); err != nil {
 			t.Fatalf("%s -> %s: %v", step[0], step[1], err)
 		}
 	}
-	a, err := os.ReadFile(txt)
-	if err != nil {
+	sameFile(t, txt, txt2)
+}
+
+// TestConvertMatchesParentCommit: conversions of files the parent commit
+// wrote (internal/tracefile/testdata) come out byte-identical to what the
+// parent's traceconv made of them — a ".qlog.z" capture into blocks, and
+// a block file into text.
+func TestConvertMatchesParentCommit(t *testing.T) {
+	fixtures := filepath.Join("..", "..", "internal", "tracefile", "testdata")
+	dir := t.TempDir()
+	for _, c := range [][3]string{
+		{"parent.qlog.z", "from-qlog.blk", "parent-qlog.blk"},
+		{"parent.blk", "from-blk.txt", "parent.txt"},
+		{"parent-flate.blk", "from-flate.txt", "parent.txt"},
+	} {
+		out := filepath.Join(dir, c[1])
+		if err := run(filepath.Join(fixtures, c[0]), out, false, false); err != nil {
+			t.Fatalf("%s: %v", c[0], err)
+		}
+		sameFile(t, out, filepath.Join(fixtures, c[2]))
+	}
+}
+
+// TestConvertRejectsUnknownExtensions: ".bin" used to mean the old record
+// stream on either side; now it is an error that says what is accepted.
+func TestConvertRejectsUnknownExtensions(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.blk")
+	writeBlocks(t, in, testEntries(t, 3))
+	if err := run(in, filepath.Join(dir, "out.bin"), false, false); err == nil || !strings.Contains(err.Error(), ".pcap") {
+		t.Errorf("unknown output extension: %v", err)
+	}
+	if err := os.Rename(in, filepath.Join(dir, "in.bin")); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(txt2)
-	if err != nil {
-		t.Fatal(err)
+	if err := run(filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.txt"), false, false); err == nil || !strings.Contains(err.Error(), ".blk") {
+		t.Errorf("unknown input extension: %v", err)
 	}
-	if string(a) != string(b) {
-		t.Error("text -> blk -> text round trip changed the text form")
+}
+
+// TestConvertQueriesOnly: -queries-only drops responses (QR set) and
+// nothing else, on the streaming and the buffered (pcap) output paths.
+func TestConvertQueriesOnly(t *testing.T) {
+	dir := t.TempDir()
+	entries := testEntries(t, 6)
+	for _, i := range []int{1, 4} {
+		entries[i].Message[2] |= 0x80
+	}
+	in := filepath.Join(dir, "in.blk")
+	writeBlocks(t, in, entries)
+	for _, ext := range []string{"blk", "pcap"} {
+		out := filepath.Join(dir, "q."+ext)
+		if err := run(in, out, true, false); err != nil {
+			t.Fatal(err)
+		}
+		back := filepath.Join(dir, ext+"-back.blk")
+		if err := run(out, back, false, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := readBlocks(t, back); len(got) != 4 {
+			t.Errorf(".%s: kept %d entries, want the 4 queries", ext, len(got))
+		}
 	}
 }

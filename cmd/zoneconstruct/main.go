@@ -1,6 +1,7 @@
 // Command zoneconstruct rebuilds zone files from a captured response
-// trace (§2.3): point it at a pcap or binary trace recorded at a
-// recursive server's upstream interface and it emits one master file per
+// trace (§2.3): point it at a capture recorded at a recursive server's
+// upstream interface — pcap, or any other trace format internal/tracefile
+// reads (.txt, .blk, .qlog) — and it emits one master file per
 // reconstructed zone, ready for metadns to serve.
 //
 // Usage:
@@ -16,13 +17,12 @@ import (
 	"path/filepath"
 	"strings"
 
-	"ldplayer/internal/pcap"
-	"ldplayer/internal/trace"
+	"ldplayer/internal/tracefile"
 	"ldplayer/internal/zonecon"
 )
 
 func main() {
-	in := flag.String("in", "", "input capture (.pcap or .bin)")
+	in := flag.String("in", "", "input capture (.pcap/.pcapng/.txt/.blk/.qlog)")
 	out := flag.String("out", "zones", "output directory for zone files")
 	hints := flag.String("root-hints", "", "comma-separated root server addresses")
 	flag.Parse()
@@ -36,24 +36,11 @@ func run(in, out, hints string) error {
 	if in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	f, err := os.Open(in)
+	r, err := tracefile.Open(in)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	var r trace.Reader
-	switch {
-	case strings.HasSuffix(in, ".pcapng"):
-		if r, err = pcap.NewNgTraceReader(f); err != nil {
-			return err
-		}
-	case strings.HasSuffix(in, ".pcap"):
-		if r, err = pcap.NewTraceReader(f); err != nil {
-			return err
-		}
-	default:
-		r = trace.NewBinaryReader(f)
-	}
+	defer r.Close()
 
 	var opts zonecon.Options
 	if hints != "" {

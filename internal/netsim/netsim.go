@@ -380,8 +380,11 @@ func (n *Network) schedule(dst *Node, d Datagram, delay time.Duration) {
 			n.dropped.Add(1)
 			return
 		}
-		n.delivered.Add(1)
+		// Counted once the handler has returned, so a reader that sees
+		// Delivered()+Dropped() reach the number sent also sees every
+		// handler's effects.
 		h(d)
+		n.delivered.Add(1)
 	}
 	if delay <= 0 {
 		if vclock.IsReal(n.clock) {

@@ -2,8 +2,6 @@ package qlog
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,16 +11,16 @@ import (
 	"ldplayer/internal/trace"
 )
 
-// The LDQLOG02 block stream: the record stream's events, re-framed into
-// the LDTRC02 block frame (internal/trace's 40-byte header: count,
-// raw/stored lengths, first/last timestamps, CRC-32C) with varint/delta
-// payload encoding and per-block DEFLATE. Timestamps are deltas against
-// the previous event, latencies and the small integer fields are
-// varints, and the whole payload deflates as one unit — repetitive
+// The LDQLOG02 block stream, qlog's one binary encoding (files and the
+// TCP sink alike): events grouped into internal/trace's block frame
+// (40-byte header: count, raw/stored lengths, first/last timestamps,
+// CRC-32C — built and opened by trace.Framer / trace.FrameReader) with a
+// varint/delta payload. Timestamps are deltas against the previous
+// event, latencies and the small integer fields are varints, and with
+// the DEFLATE codec the whole payload deflates as one unit — repetitive
 // capture fields (same peer, same view, same qname suffixes) compress
-// across records, which a per-record scheme cannot do. Blocks that fail
-// to shrink are stored raw, so a hostile or incompressible stream never
-// grows past the record format plus the 40-byte per-block frame.
+// across events. Blocks that fail to shrink are stored raw, so a hostile
+// or incompressible stream never grows past the raw codec.
 //
 //	file  := magic8 "LDQLOG02" block*
 //	block := trace block header | payload (DEFLATE or raw per header codec)
@@ -34,8 +32,7 @@ import (
 //
 // There is no footer index: qlog files are append-and-rotate streams,
 // read sequentially. A file cut mid-block (crash, kill -9) yields every
-// complete block and then a clean EOF, same contract as the record
-// stream's torn-record handling.
+// complete block and then io.ErrUnexpectedEOF.
 
 var qlogBlockMagic = [8]byte{'L', 'D', 'Q', 'L', 'O', 'G', '0', '2'}
 
@@ -45,17 +42,14 @@ const (
 	blockMaxBytes = 256 * 1024
 )
 
-var (
-	errQlogBlockColumn = errors.New("qlog: block event truncated or malformed")
-	errQlogBlockCRC    = errors.New("qlog: block payload CRC mismatch")
-)
+var errQlogBlockColumn = errors.New("qlog: block event truncated or malformed")
 
-// BlockWriter writes the LDQLOG02 block stream. Same surface as Writer
-// (Write/Flush/BytesWritten), so FileSink swaps one for the other on a
-// ".z" path. Flush cuts the in-progress block — frequent flushing costs
-// compression, which is why the sink only flushes at rotation and Close.
+// BlockWriter writes the LDQLOG02 block stream. Flush cuts the
+// in-progress block — frequent flushing costs compression, which is why
+// the file sink only flushes at rotation and Close.
 type BlockWriter struct {
 	w         *bufio.Writer
+	framer    *trace.Framer
 	wroteHead bool
 	bytes     int64
 
@@ -64,15 +58,16 @@ type BlockWriter struct {
 	lastNano  int64
 	prevNano  int64
 	payload   []byte
-
-	scratch []byte
-	zbuf    bytes.Buffer
-	zw      *flate.Writer
 }
 
-// NewBlockWriter creates a BlockWriter on w.
-func NewBlockWriter(w io.Writer) *BlockWriter {
-	return &BlockWriter{w: bufio.NewWriterSize(w, 256*1024)}
+// NewBlockWriter creates a BlockWriter on w; compress selects the DEFLATE
+// block codec over raw blocks.
+func NewBlockWriter(w io.Writer, compress bool) *BlockWriter {
+	codec := trace.BlockRaw
+	if compress {
+		codec = trace.BlockFlate
+	}
+	return &BlockWriter{w: bufio.NewWriterSize(w, 256*1024), framer: trace.NewFramer(codec, false)}
 }
 
 // Write implements the event-writer surface: the event joins the
@@ -128,52 +123,16 @@ func (w *BlockWriter) Write(ev *Event) error {
 	return nil
 }
 
-// cutBlock deflates and writes the accumulated block.
+// cutBlock frames and writes the accumulated block.
 func (w *BlockWriter) cutBlock() error {
 	if w.count == 0 {
 		return nil
 	}
-	codec := trace.BlockFlate
-	stored := w.payload
-	w.zbuf.Reset()
-	if w.zw == nil {
-		zw, err := flate.NewWriter(&w.zbuf, flate.DefaultCompression)
-		if err != nil {
-			return err
-		}
-		w.zw = zw
-	} else {
-		w.zw.Reset(&w.zbuf)
-	}
-	if _, err := w.zw.Write(w.payload); err != nil {
+	n, err := w.framer.WriteFrame(w.w, w.count, w.firstNano, w.lastNano, w.payload)
+	if err != nil {
 		return err
 	}
-	if err := w.zw.Close(); err != nil {
-		return err
-	}
-	if w.zbuf.Len() < len(w.payload) {
-		stored = w.zbuf.Bytes()
-	} else {
-		codec = trace.BlockRaw
-	}
-
-	hdr := trace.BlockHeader{
-		Codec:     codec,
-		Count:     uint32(w.count),
-		RawLen:    uint32(len(w.payload)),
-		StoredLen: uint32(len(stored)),
-		FirstNano: w.firstNano,
-		LastNano:  w.lastNano,
-		CRC:       trace.BlockCRC(stored),
-	}
-	w.scratch = trace.AppendBlockHeader(w.scratch[:0], hdr)
-	if _, err := w.w.Write(w.scratch); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(stored); err != nil {
-		return err
-	}
-	w.bytes += int64(trace.BlockHeaderSize + len(stored))
+	w.bytes += int64(n)
 	w.count = 0
 	w.payload = w.payload[:0]
 	return nil
@@ -301,49 +260,41 @@ func (c *blockCursor) next(ev *Event) error {
 	return nil
 }
 
-// readBlock reads and decodes the next block frame off r into c.
-// io.EOF at a frame boundary is a clean end of stream; a torn header or
-// payload reports io.ErrUnexpectedEOF, mirroring the record stream.
-func (c *blockCursor) readBlock(r *bufio.Reader, slab *[]byte) error {
-	var hdrBuf [trace.BlockHeaderSize]byte
-	if _, err := io.ReadFull(r, hdrBuf[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
+// Reader reads the LDQLOG02 stream a file or TCP sink produced.
+type Reader struct {
+	r   *bufio.Reader
+	fr  *trace.FrameReader
+	cur blockCursor
+}
+
+// NewReader creates a Reader on r.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReaderSize(r, 256*1024)}
+}
+
+// Next decodes the next event into ev. It returns io.EOF at a clean end
+// of stream and a wrapped io.ErrUnexpectedEOF when the stream stops
+// mid-block (a killed TCP connection, a crash mid-write).
+func (r *Reader) Next(ev *Event) error {
+	if r.fr == nil {
+		var magic [8]byte
+		if _, err := io.ReadFull(r.r, magic[:]); err != nil {
+			if err == io.EOF {
+				return io.EOF
+			}
+			return fmt.Errorf("qlog: reading magic: %w", err)
 		}
-		return io.ErrUnexpectedEOF
-	}
-	hdr, err := trace.ParseBlockHeader(hdrBuf[:])
-	if err != nil {
-		return err
-	}
-	if cap(*slab) < int(hdr.StoredLen) {
-		*slab = make([]byte, hdr.StoredLen)
-	}
-	stored := (*slab)[:hdr.StoredLen]
-	if _, err := io.ReadFull(r, stored); err != nil {
-		return io.ErrUnexpectedEOF
-	}
-	if trace.BlockCRC(stored) != hdr.CRC {
-		return errQlogBlockCRC
-	}
-	raw := stored
-	if hdr.Codec == trace.BlockFlate {
-		inflated := make([]byte, hdr.RawLen)
-		zr := flate.NewReader(bytes.NewReader(stored))
-		if _, err := io.ReadFull(zr, inflated); err != nil {
-			return fmt.Errorf("qlog: inflating block: %w", err)
+		if magic != qlogBlockMagic {
+			return fmt.Errorf("qlog: bad magic %q", magic[:])
 		}
-		var one [1]byte
-		if n, _ := zr.Read(one[:]); n != 0 {
-			return errQlogBlockColumn
-		}
-		raw = inflated
-	} else if uint64(len(raw)) != uint64(hdr.RawLen) {
-		return errQlogBlockColumn
+		r.fr = trace.NewFrameReader(r.r)
 	}
-	c.buf = raw
-	c.off = 0
-	c.remain = hdr.Count
-	c.prevNano = hdr.FirstNano
-	return nil
+	for r.cur.remain == 0 {
+		hdr, raw, err := r.fr.Next()
+		if err != nil {
+			return err
+		}
+		r.cur = blockCursor{buf: raw, remain: hdr.Count, prevNano: hdr.FirstNano}
+	}
+	return r.cur.next(ev)
 }

@@ -1,6 +1,7 @@
 package qlog
 
 import (
+	"errors"
 	"io"
 	"net/netip"
 	"time"
@@ -13,7 +14,7 @@ import (
 // synthesizes the query a logged event describes, EntryReader adapts a
 // qlog stream into a trace.Reader (so `ldplayer replay -in x.qlog` and
 // traceconv work unchanged), and NewTraceSink converts live events into
-// any trace.Writer (text, binary, and from there pcap).
+// any trace.Writer (text, blocks, and from there pcap).
 
 // EventEntry synthesizes the trace entry for ev: a wire-format query
 // with the logged ID/qname/qtype/qclass, sourced from the peer address
@@ -51,7 +52,7 @@ func EventEntry(ev *Event) (e trace.Entry, ok bool) {
 	if !src.IsValid() {
 		src = netip.IPv4Unspecified()
 	}
-	// The binary trace format stores one address family for both ends.
+	// Both ends of a synthesized entry share one address family.
 	if src.Is6() {
 		dst = netip.IPv6Unspecified()
 	}
@@ -69,7 +70,7 @@ func EventEntry(ev *Event) (e trace.Entry, ok bool) {
 }
 
 // EntryReader adapts a qlog binary stream into a trace.Reader, skipping
-// events that carry no qname. A partially-captured final record (e.g. a
+// events that carry no qname. A partially-captured final block (e.g. a
 // TCP stream cut mid-write) terminates the trace cleanly at EOF.
 type EntryReader struct {
 	r  *Reader
@@ -85,7 +86,7 @@ func NewEntryReader(r io.Reader) *EntryReader {
 func (er *EntryReader) Next() (trace.Entry, error) {
 	for {
 		if err := er.r.Next(&er.ev); err != nil {
-			if err == io.ErrUnexpectedEOF {
+			if errors.Is(err, io.ErrUnexpectedEOF) {
 				return trace.Entry{}, io.EOF
 			}
 			return trace.Entry{}, err
@@ -109,7 +110,7 @@ func (t traceEntryWriter) write(ev *Event) error {
 	return t.w.Write(e)
 }
 
-// NewTraceSink wraps a trace.Writer (text or binary) as a qlog sink.
+// NewTraceSink wraps a trace.Writer (text or blocks) as a qlog sink.
 // flush, if non-nil, runs at Close (pass the writer's Flush).
 func NewTraceSink(w trace.Writer, flush func() error) *TraceSink {
 	return &TraceSink{w: traceEntryWriter{w: w}, flush: flush}

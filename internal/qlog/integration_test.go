@@ -171,7 +171,7 @@ func TestQlogSmoke(t *testing.T) {
 func captureEvents(t *testing.T, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := qlog.NewWriter(&buf)
+	w := qlog.NewBlockWriter(&buf, false)
 	base := time.Now().Truncate(time.Second)
 	for i := 0; i < n; i++ {
 		var ev qlog.Event

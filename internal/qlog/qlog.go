@@ -13,10 +13,10 @@
 //   - A single collector goroutine sweeps the rings, runs each event
 //     through a pluggable transformer chain (sampling, qname suffix
 //     filtering, keyed-hash anonymization, slow/suspicious tagging) and
-//     fans the survivors out to sinks: a rotating binary file, a
-//     length-prefixed TCP stream, or conversion into the existing
-//     text/pcap trace formats so captured streams feed straight back
-//     into `ldplayer replay`.
+//     fans the survivors out to sinks: a rotating binary file or a
+//     TCP stream (both the LDQLOG02 block stream of block.go), or
+//     conversion into the existing trace formats so captured streams
+//     feed straight back into `ldplayer replay`.
 //
 // Every stage accounts what it sheds: ring drops, per-transformer drops,
 // and per-sink written/dropped/error counts federate into the obs

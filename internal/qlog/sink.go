@@ -41,22 +41,13 @@ func (c *sinkCounters) Stats() SinkStats {
 	return SinkStats{Written: c.written.Load(), Dropped: c.dropped.Load(), Errors: c.errors.Load()}
 }
 
-// streamWriter is the writer surface shared by the LDQLOG01 record
-// format (Writer) and the LDQLOG02 block format (BlockWriter).
-type streamWriter interface {
-	Write(*Event) error
-	Flush() error
-	BytesWritten() int64
-}
-
 // FileSink writes the binary stream to a file, rotating by size:
 // the live file is always `path`; on rotation it is renamed to
 // `path.<seq>` and the oldest rotations beyond the keep budget are
 // removed, bounding total disk to roughly (keep+1) × rotateBytes.
 //
-// A path ending in ".z" selects the compressed LDQLOG02 block format;
-// anything else gets the plain record stream. Reader auto-detects
-// either, so downstream tooling does not care.
+// A path ending in ".z" DEFLATEs the blocks; anything else stores them
+// raw. The block header says which, so Reader does not care.
 type FileSink struct {
 	sinkCounters
 	path        string
@@ -64,7 +55,7 @@ type FileSink struct {
 	keep        int
 	compress    bool
 	f           *os.File
-	w           streamWriter
+	w           *BlockWriter
 	seq         int
 }
 
@@ -80,16 +71,8 @@ func NewFileSink(path string, rotateBytes int64, keep int) (*FileSink, error) {
 	}
 	s := &FileSink{path: path, rotateBytes: rotateBytes, keep: keep, f: f,
 		compress: strings.HasSuffix(path, ".z")}
-	s.w = s.newWriter(f)
+	s.w = NewBlockWriter(f, s.compress)
 	return s, nil
-}
-
-// newWriter builds the stream writer matching the sink's format choice.
-func (s *FileSink) newWriter(f *os.File) streamWriter {
-	if s.compress {
-		return NewBlockWriter(f)
-	}
-	return NewWriter(f)
 }
 
 // Name implements Sink.
@@ -137,7 +120,7 @@ func (s *FileSink) rotate() error {
 		return err
 	}
 	s.f = f
-	s.w = s.newWriter(f)
+	s.w = NewBlockWriter(f, s.compress)
 	return nil
 }
 
@@ -153,18 +136,18 @@ func (s *FileSink) Close() error {
 	return s.f.Close()
 }
 
-// TCPSink streams the binary format to a collector address. Writes carry
-// a per-batch deadline, so a stalled peer sheds batches instead of
-// stalling the pipeline; a broken connection is redialed with backoff,
-// and each new connection restarts the stream (magic included), which
-// Reader handles naturally on the receiving side.
+// TCPSink streams the binary format to a collector address, one raw
+// block per batch. Writes carry a per-batch deadline, so a stalled peer
+// sheds batches instead of stalling the pipeline; a broken connection is
+// redialed with backoff, and each new connection restarts the stream
+// (magic included), which Reader handles naturally on the receiving side.
 type TCPSink struct {
 	sinkCounters
 	addr    string
 	timeout time.Duration
 
 	conn     net.Conn
-	w        *Writer
+	w        *BlockWriter
 	nextDial time.Time
 	backoff  time.Duration
 }
@@ -220,7 +203,7 @@ func (s *TCPSink) redial() bool {
 		return false
 	}
 	s.conn = conn
-	s.w = NewWriter(conn)
+	s.w = NewBlockWriter(conn, false)
 	return true
 }
 

@@ -1,8 +1,12 @@
 package replay
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -149,16 +153,52 @@ func TestReplayServerGoneCountsErrors(t *testing.T) {
 	}
 }
 
-// TestServeClientControllerCrash kills the controller link mid-stream; the
-// client must finish with what it received instead of hanging.
-func TestServeClientControllerCrash(t *testing.T) {
+// recordConn is a controller-side link end that keeps what is written to
+// it, so a test can replay any prefix of a real link stream.
+type recordConn struct {
+	net.Conn
+	sent bytes.Buffer
+}
+
+func (c *recordConn) Write(p []byte) (int, error) { return c.sent.Write(p) }
+func (c *recordConn) Close() error                { return nil }
+func (c *recordConn) RemoteAddr() net.Addr        { return &net.TCPAddr{} }
+
+// linkStream runs a RemoteController over entries with one client and
+// returns the bytes it put on the link plus the offset at which each block
+// ends (the last offset is where the footer index starts).
+func linkStream(t *testing.T, entries []trace.Entry, blockEntries int) (stream []byte, blockEnds []int) {
+	t.Helper()
+	conn := &recordConn{}
+	rc := &RemoteController{clients: []*linkClient{
+		newLinkClient(conn, trace.BlockWriterOptions{BlockEntries: blockEntries}),
+	}}
+	if err := rc.Run(trace.NewSliceReader(entries)); err != nil {
+		t.Fatal(err)
+	}
+	stream = conn.sent.Bytes()
+	off := 9 + 8 // sync point, block-stream magic
+	for n := 0; n < len(entries); n += blockEntries {
+		hdr, err := trace.ParseBlockHeader(stream[off:])
+		if err != nil {
+			t.Fatalf("link stream block at %d: %v", off, err)
+		}
+		off += trace.BlockHeaderSize + int(hdr.StoredLen)
+		blockEnds = append(blockEnds, off)
+	}
+	return stream, blockEnds
+}
+
+// serveLinkBytes plays link bytes at a client instance, closes the link,
+// and returns what ServeClient made of it.
+func serveLinkBytes(t *testing.T, link []byte) (*Stats, error) {
+	t.Helper()
 	srvAddr, _ := lossyUDPServer(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-
 	en, err := New(Config{UDPTarget: srvAddr, DrainTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -172,42 +212,141 @@ func TestServeClientControllerCrash(t *testing.T) {
 		st, err := ServeClient(ln, en)
 		resCh <- result{st, err}
 	}()
-
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Send the sync frame and two entries, then slam the connection shut.
-	entries := makeTrace(t, 2, 1, time.Millisecond, trace.UDP)
-	rc := &RemoteController{conns: []net.Conn{conn}}
-	rc.writers = append(rc.writers, newTestWriter(conn))
-	if err := rc.Run(trace.NewSliceReader(entries)); err != nil {
+	if _, err := conn.Write(link); err != nil {
 		t.Fatal(err)
 	}
+	conn.Close() // the controller dies here
 	select {
 	case r := <-resCh:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if r.st.Sent != 2 {
-			t.Errorf("client sent %d", r.st.Sent)
-		}
+		return r.st, r.err
 	case <-time.After(10 * time.Second):
-		t.Fatal("client hung after controller closed the link")
+		t.Fatal("client hung after the controller link closed")
+		return nil, nil
 	}
 }
 
-// TestLinkReaderRejectsGarbageFrame ensures a corrupted link fails fast.
-func TestLinkReaderRejectsGarbageFrame(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	go func() {
-		c1.Write([]byte{'X', 1, 2, 3})
-		c1.Close()
+// TestServeClientControllerCrash cuts the controller link at every kind of
+// place a dying controller can leave it. The client must replay every
+// block that arrived whole, return promptly, and report the truncation —
+// only a link that reached its end-of-trace marker is a finished trace.
+func TestServeClientControllerCrash(t *testing.T) {
+	entries := makeTrace(t, 24, 3, time.Millisecond, trace.UDP)
+	stream, ends := linkStream(t, entries, 8) // three blocks of 8
+	for _, c := range []struct {
+		name     string
+		cut      int
+		sent     int64
+		finished bool
+	}{
+		{"mid-block", ends[1] + (ends[2]-ends[1])/2, 16, false},
+		{"mid-header", ends[1] + 7, 16, false},
+		{"block-boundary", ends[1], 16, false},
+		{"mid-sync-point", 4, -1, false},
+		{"before-anything", 0, -1, false},
+		{"whole-stream", len(stream), 24, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := serveLinkBytes(t, stream[:c.cut])
+			if c.sent < 0 {
+				if st != nil {
+					t.Errorf("client reported a replay (%+v) of a link that never got to its trace", st)
+				}
+			} else if st == nil || st.Sent != c.sent {
+				t.Errorf("client replayed %+v, want the %d entries of the whole blocks", st, c.sent)
+			}
+			if c.finished {
+				if err != nil {
+					t.Errorf("finished trace reported %v", err)
+				}
+			} else if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
+			}
+		})
+	}
+}
+
+// TestServeClientRejectsDamagedLink: bytes that are not a link, and a
+// block whose payload changed in flight, are errors — the damaged block's
+// entries are never replayed, the whole blocks before it are.
+func TestServeClientRejectsDamagedLink(t *testing.T) {
+	entries := makeTrace(t, 24, 3, time.Millisecond, trace.UDP)
+	stream, ends := linkStream(t, entries, 8)
+
+	flipped := bytes.Clone(stream)
+	flipped[ends[0]+trace.BlockHeaderSize+5] ^= 0x01 // inside block 2's payload
+	st, err := serveLinkBytes(t, flipped)
+	if err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Errorf("flipped payload byte: err = %v, want the block's CRC mismatch", err)
+	}
+	if st == nil || st.Sent != 8 {
+		t.Errorf("flipped payload byte: replayed %+v, want only the 8 entries of block 1", st)
+	}
+
+	st, err = serveLinkBytes(t, append([]byte{'X', 1, 2, 3, 4, 5, 6, 7, 8}, stream[9:]...))
+	if err == nil || errors.Is(err, io.ErrUnexpectedEOF) || st != nil {
+		t.Errorf("garbage sync point: replayed %+v, err = %v; want nothing and a format error", st, err)
+	}
+}
+
+// endlessReader repeats its entries forever: a trace long enough that a
+// controller can only finish with it by failing.
+type endlessReader struct {
+	entries []trace.Entry
+	n       int
+}
+
+func (r *endlessReader) Next() (trace.Entry, error) {
+	e := r.entries[r.n%len(r.entries)]
+	r.n++
+	return e, nil
+}
+
+// TestRemoteControllerClientDies: a client instance that goes away
+// mid-stream must end the controller's run with an error naming that
+// client, not hang it and not pass for a finished trace.
+func TestRemoteControllerClientDies(t *testing.T) {
+	healthy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer healthy.Close()
+	dying, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dying.Close()
+	go func() { // reads everything the controller sends, as a live client would
+		if conn, err := healthy.Accept(); err == nil {
+			io.Copy(io.Discard, conn)
+			conn.Close()
+		}
 	}()
-	lr := newTestLinkReader(c2)
-	if _, err := lr.Next(); err == nil {
-		t.Error("garbage frame accepted")
+	go func() { // takes the sync point and a little more, then dies
+		if conn, err := dying.Accept(); err == nil {
+			io.CopyN(io.Discard, conn, 64)
+			conn.Close()
+		}
+	}()
+
+	rc, err := DialClients(healthy.Addr().String(), dying.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- rc.Run(&endlessReader{entries: makeTrace(t, 512, 64, time.Microsecond, trace.UDP)})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), dying.Addr().String()) {
+			t.Errorf("Run = %v, want an error naming the dead client %s", err, dying.Addr())
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("controller hung on a dead client")
 	}
 }

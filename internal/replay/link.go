@@ -16,24 +16,39 @@ import (
 )
 
 // The controller-to-client-instance link (Figure 4/5): the controller's
-// Postman streams framed internal messages over TCP to remote client
-// instances, each running its own distributor + querier pool. The paper
-// chooses TCP for reliable message exchange among distributors; so do we.
+// Postman streams internal messages over TCP to remote client instances,
+// each running its own distributor + querier pool. The paper chooses TCP
+// for reliable message exchange among distributors; so do we.
 //
-// Frames: 'S' <int64 trace-start unixnano> broadcasts the time
-// synchronization point; 'E' <uint32 len> <record> carries one entry
-// (record encoding shared with the binary trace format).
+// Each connection carries 'S' <int64 trace-start unixnano>, the broadcast
+// time synchronization point, followed by an ordinary LDTRC02 block stream
+// (internal/trace: magic, CRC'd blocks, footer index) of the entries
+// assigned to that client. The footer index is the end-of-trace marker: a
+// link that closes before it was cut short.
 
-const (
-	frameSync  = 'S'
-	frameEntry = 'E'
-)
+const frameSync = 'S'
+
+// linkClient is the controller's end of one client link.
+type linkClient struct {
+	conn net.Conn
+	buf  *bufio.Writer
+	w    *trace.BlockWriter
+}
+
+func newLinkClient(conn net.Conn, opts trace.BlockWriterOptions) *linkClient {
+	buf := bufio.NewWriterSize(conn, 256*1024)
+	return &linkClient{conn: conn, buf: buf, w: trace.NewBlockWriterOptions(buf, opts)}
+}
+
+// fail names the client whose link broke.
+func (c *linkClient) fail(err error) error {
+	return fmt.Errorf("replay: client %s: %w", c.conn.RemoteAddr(), err)
+}
 
 // RemoteController distributes a trace stream to remote client instances
 // with the same sticky source assignment the in-process postman uses.
 type RemoteController struct {
-	conns   []net.Conn
-	writers []*bufio.Writer
+	clients []*linkClient
 	seed    maphash.Seed
 }
 
@@ -49,18 +64,30 @@ func DialClients(addrs ...string) (*RemoteController, error) {
 			rc.Close()
 			return nil, err
 		}
-		rc.conns = append(rc.conns, conn)
-		rc.writers = append(rc.writers, bufio.NewWriterSize(conn, 256*1024))
+		rc.clients = append(rc.clients, newLinkClient(conn, trace.BlockWriterOptions{}))
 	}
 	return rc, nil
 }
 
-// Run streams r to the clients until EOF, then flushes and closes the
-// links (which signals end-of-trace to the clients).
+// sync broadcasts the time synchronization point.
+func (rc *RemoteController) sync(t time.Time) error {
+	var sf [9]byte
+	sf[0] = frameSync
+	binary.BigEndian.PutUint64(sf[1:], uint64(t.UnixNano()))
+	for _, c := range rc.clients {
+		if _, err := c.buf.Write(sf[:]); err != nil {
+			return c.fail(err)
+		}
+	}
+	return nil
+}
+
+// Run streams r to the clients until EOF, then finishes each client's
+// block stream (the end-of-trace marker) and closes the links. A client
+// that goes away mid-stream ends the run with an error naming it.
 func (rc *RemoteController) Run(r trace.Reader) error {
 	assign := make(map[netip.Addr]int, 1024)
 	synced := false
-	var scratch []byte
 	for {
 		e, err := r.Next()
 		if err != nil {
@@ -70,40 +97,36 @@ func (rc *RemoteController) Run(r trace.Reader) error {
 			return err
 		}
 		if !synced {
-			var sf [9]byte
-			sf[0] = frameSync
-			binary.BigEndian.PutUint64(sf[1:], uint64(e.Time.UnixNano()))
-			for _, w := range rc.writers {
-				if _, err := w.Write(sf[:]); err != nil {
-					return err
-				}
+			if err := rc.sync(e.Time); err != nil {
+				return err
 			}
 			synced = true
 		}
 		src := e.Src.Addr()
 		idx, ok := assign[src]
 		if !ok {
-			idx = int(maphash.Comparable(rc.seed, src)) % len(rc.writers)
+			idx = int(maphash.Comparable(rc.seed, src)) % len(rc.clients)
 			if idx < 0 {
 				idx = -idx
 			}
 			assign[src] = idx
 		}
-		scratch = trace.MarshalEntry(scratch[:0], e)
-		w := rc.writers[idx]
-		var hdr [5]byte
-		hdr[0] = frameEntry
-		binary.BigEndian.PutUint32(hdr[1:], uint32(len(scratch)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
+		c := rc.clients[idx]
+		if err := c.w.Write(e); err != nil {
+			return c.fail(err)
 		}
-		if _, err := w.Write(scratch); err != nil {
+	}
+	if !synced { // empty trace: the clients still get a whole, empty stream
+		if err := rc.sync(time.Unix(0, 0)); err != nil {
 			return err
 		}
 	}
-	for _, w := range rc.writers {
-		if err := w.Flush(); err != nil {
-			return err
+	for _, c := range rc.clients {
+		if err := c.w.Close(); err != nil {
+			return c.fail(err)
+		}
+		if err := c.buf.Flush(); err != nil {
+			return c.fail(err)
 		}
 	}
 	rc.Close()
@@ -112,63 +135,39 @@ func (rc *RemoteController) Run(r trace.Reader) error {
 
 // Close closes all client links.
 func (rc *RemoteController) Close() {
-	for _, c := range rc.conns {
-		if c != nil {
-			c.Close()
-		}
+	for _, c := range rc.clients {
+		c.conn.Close()
 	}
 }
 
-// linkReader adapts an incoming controller link to trace.Reader and
-// captures the broadcast sync point.
+// linkReader is the client's end of a link: the block stream, plus the
+// broadcast sync point that preceded it.
 type linkReader struct {
-	r          *bufio.Reader
+	*trace.StreamReader
 	traceStart time.Time
-	haveSync   bool
+}
+
+// openLink reads the sync point off the front of a controller link.
+func openLink(conn io.Reader) (*linkReader, error) {
+	r := bufio.NewReaderSize(conn, 256*1024)
+	var sf [9]byte
+	if _, err := io.ReadFull(r, sf[:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("replay: reading the link's sync point: %w", err)
+	}
+	if sf[0] != frameSync {
+		return nil, fmt.Errorf("replay: link starts with %q, not a sync point", sf[0])
+	}
+	t0 := time.Unix(0, int64(binary.BigEndian.Uint64(sf[1:])))
+	return &linkReader{trace.NewStreamReader(r), t0}, nil
 }
 
 // TraceStart implements the provider the engine consults so the remote
 // querier's Δt̄ is computed against the global trace start, not the first
 // entry that happened to reach this instance.
-func (lr *linkReader) TraceStart() (time.Time, bool) {
-	return lr.traceStart, lr.haveSync
-}
-
-func (lr *linkReader) Next() (trace.Entry, error) {
-	for {
-		t, err := lr.r.ReadByte()
-		if err != nil {
-			return trace.Entry{}, io.EOF // link closed = end of trace
-		}
-		switch t {
-		case frameSync:
-			var buf [8]byte
-			if _, err := io.ReadFull(lr.r, buf[:]); err != nil {
-				return trace.Entry{}, err
-			}
-			lr.traceStart = time.Unix(0, int64(binary.BigEndian.Uint64(buf[:])))
-			lr.haveSync = true
-		case frameEntry:
-			var hdr [4]byte
-			if _, err := io.ReadFull(lr.r, hdr[:]); err != nil {
-				return trace.Entry{}, err
-			}
-			n := binary.BigEndian.Uint32(hdr[:])
-			if n > maxLinkRecord {
-				return trace.Entry{}, fmt.Errorf("replay: link record of %d bytes", n)
-			}
-			buf := make([]byte, n)
-			if _, err := io.ReadFull(lr.r, buf); err != nil {
-				return trace.Entry{}, err
-			}
-			return trace.UnmarshalEntry(buf)
-		default:
-			return trace.Entry{}, fmt.Errorf("replay: unknown link frame %q", t)
-		}
-	}
-}
-
-const maxLinkRecord = 8 + 1 + 2*(16+2) + 1 + 1<<16
+func (lr *linkReader) TraceStart() (time.Time, bool) { return lr.traceStart, true }
 
 // traceStartProvider lets a reader supply the global trace start (the
 // sync broadcast) instead of the first locally seen entry.
@@ -177,22 +176,24 @@ type traceStartProvider interface {
 }
 
 // ServeClient accepts one controller connection on ln and replays its
-// stream through en. It returns the run's statistics when the controller
-// closes the link.
+// stream through en, returning the run's statistics. The trace is over
+// only at the block stream's footer index: if the link closes anywhere
+// else — the controller died — ServeClient returns the statistics of what
+// it replayed, every block that arrived whole, with io.ErrUnexpectedEOF;
+// a block that fails its CRC is likewise an error, never entries.
 func ServeClient(ln net.Listener, en *Engine) (*Stats, error) {
 	conn, err := ln.Accept()
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	lr := &linkReader{r: bufio.NewReaderSize(conn, 256*1024)}
-	return en.Replay(context.Background(), lr)
-}
-
-// newTestWriter and newTestLinkReader give tests access to the framing
-// internals without exporting them.
-func newTestWriter(conn net.Conn) *bufio.Writer { return bufio.NewWriter(conn) }
-
-func newTestLinkReader(conn net.Conn) *linkReader {
-	return &linkReader{r: bufio.NewReader(conn)}
+	lr, err := openLink(conn)
+	if err != nil {
+		return nil, err
+	}
+	st, err := en.Replay(context.Background(), lr)
+	if err == nil && !lr.Indexed() {
+		err = fmt.Errorf("replay: controller link closed before the end of the trace: %w", io.ErrUnexpectedEOF)
+	}
+	return st, err
 }

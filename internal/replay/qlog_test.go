@@ -122,7 +122,7 @@ func TestReplayConsumesQlogCapture(t *testing.T) {
 func makeQlogCapture(t *testing.T, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := qlog.NewWriter(&buf)
+	w := qlog.NewBlockWriter(&buf, false)
 	for _, e := range makeTrace(t, n, 5, time.Millisecond, trace.UDP) {
 		var ev qlog.Event
 		fillSendEvent(&ev, &e, e.Time)

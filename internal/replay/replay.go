@@ -434,12 +434,17 @@ loop:
 					}
 				}
 			}
-		case e := <-readErr:
-			err = e
-			break loop
 		case <-ctx.Done():
 			err = ctx.Err()
 			break loop
+		}
+	}
+	if err == nil {
+		// The reader reports its error before it closes the window, so
+		// every batch it decoded first is with the distributors by now.
+		select {
+		case err = <-readErr:
+		default:
 		}
 	}
 	for i := range scratch {

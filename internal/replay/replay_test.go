@@ -61,7 +61,7 @@ example.com.	300	IN	A	192.0.2.80
 
 // makeTrace builds n queries spaced gap apart, cycling over nSources
 // client addresses, each with a unique query name.
-func makeTrace(t *testing.T, n, nSources int, gap time.Duration, proto trace.Protocol) []trace.Entry {
+func makeTrace(t testing.TB, n, nSources int, gap time.Duration, proto trace.Protocol) []trace.Entry {
 	t.Helper()
 	base := time.Now()
 	out := make([]trace.Entry, n)

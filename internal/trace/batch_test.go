@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -23,45 +25,6 @@ func manyEntries(t *testing.T, n int) []Entry {
 			Protocol(i%3), fmt.Sprintf("q%d.example.com.", i), dnswire.TypeA, nil)
 	}
 	return out
-}
-
-// TestBinaryBatchDecodeMatchesNext decodes one stream twice — per-entry
-// and batched with an awkward batch size — and requires identical output.
-func TestBinaryBatchDecodeMatchesNext(t *testing.T) {
-	entries := manyEntries(t, 257)
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	for _, e := range entries {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	stream := buf.Bytes()
-
-	want := drain(t, NewBinaryReader(bytes.NewReader(stream)))
-
-	br := NewBinaryReader(bytes.NewReader(stream))
-	var got []Entry
-	batch := make([]Entry, 33) // deliberately not a divisor of 257
-	for {
-		n, err := br.NextBatch(batch)
-		got = append(got, batch[:n]...)
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("batch decode produced %d entries, want %d", len(got), len(want))
-	}
-	for i := range got {
-		assertEntriesEqual(t, i, got[i], want[i])
-	}
 }
 
 // TestReadBatchFallback exercises the per-entry fallback for readers
@@ -105,151 +68,153 @@ func TestReadBatchFallback(t *testing.T) {
 	}
 }
 
-// binaryStream encodes entries as an LDTRC01 byte stream.
-func binaryStream(t *testing.T, entries []Entry) []byte {
-	t.Helper()
+// streamBatches drains sr through NextBatch with the given batch size,
+// returning what it decoded and the error that ended the stream.
+func streamBatches(sr *StreamReader, size int) ([]Entry, error) {
+	var got []Entry
+	batch := make([]Entry, size)
+	for {
+		n, err := sr.NextBatch(batch)
+		got = append(got, batch[:n]...)
+		if err != nil {
+			return got, err
+		}
+	}
+}
+
+// TestStreamReaderMatchesBlockReader reads one file sequentially — one
+// byte per Read, so every io.ReadFull boundary in the frame reader is
+// exercised, with a batch size that straddles blocks — and through the
+// indexed reader, and requires identical output.
+func TestStreamReaderMatchesBlockReader(t *testing.T) {
+	for _, codec := range []uint8{BlockRaw, BlockFlate} {
+		entries := manyEntries(t, 257)
+		data := writeBlockFile(t, entries, BlockWriterOptions{BlockEntries: 50, Codec: codec})
+		want := readBlockFile(t, data)
+		sr := NewStreamReader(bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data))))
+		got, err := streamBatches(sr, 33)
+		if err != io.EOF {
+			t.Fatal(err)
+		}
+		if !sr.Indexed() {
+			t.Error("a Closed writer's stream must end at its index")
+		}
+		if len(got) != len(want) {
+			t.Fatalf("codec %d: stream decode produced %d entries, want %d", codec, len(got), len(want))
+		}
+		for i := range got {
+			assertEntriesEqual(t, i, got[i], want[i])
+		}
+	}
+}
+
+// TestStreamReaderTornTail cuts a three-block stream at several hostile
+// points: every complete block is delivered, then a cut inside a frame is
+// io.ErrUnexpectedEOF (corruption, not end of stream) while a cut between
+// frames is a clean EOF that Indexed reports as index-less.
+func TestStreamReaderTornTail(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	for _, e := range entries {
+	w := NewBlockWriterOptions(&buf, BlockWriterOptions{BlockEntries: 8})
+	var lastStart int
+	for i, e := range manyEntries(t, 24) {
+		if i == 16 {
+			lastStart = buf.Len() // two blocks cut so far
+		}
 		if err := w.Write(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// TestBinaryBatchTruncatedTail cuts the stream at several hostile
-// points: NextBatch must return every complete record and then a
-// non-EOF error (mid-record truncation is corruption, not end of
-// stream), except a cut between records, which is a clean EOF.
-func TestBinaryBatchTruncatedTail(t *testing.T) {
-	entries := manyEntries(t, 20)
-	stream := binaryStream(t, entries)
-	// Walk the length prefixes to find the last record's exact boundary
-	// (records vary in size with the query name).
-	lastStart := 8
-	for off := 8; off < len(stream); {
-		n := int(binary.BigEndian.Uint32(stream[off:]))
-		lastStart = off
-		off += 4 + n
-	}
-
-	cuts := []struct {
+	stream := buf.Bytes()
+	for _, c := range []struct {
 		name     string
 		cut      int
 		complete int
 		wantEOF  bool
 	}{
-		{"mid-payload", (lastStart + len(stream)) / 2, 19, false},
-		{"mid-length-header", lastStart + 2, 19, false},
-		{"between-records", lastStart, 19, true},
+		{"mid-payload", lastStart + blockHeaderSize + 20, 16, false},
+		{"mid-header", lastStart + 2, 16, false},
+		{"between-blocks", lastStart, 16, true},
 		{"inside-magic", 5, 0, false},
-	}
-	for _, c := range cuts {
+		{"empty", 0, 0, false},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			br := NewBinaryReader(bytes.NewReader(stream[:c.cut]))
-			got := 0
-			var err error
-			batch := make([]Entry, 7)
-			for {
-				var n int
-				n, err = br.NextBatch(batch)
-				got += n
-				if err != nil {
-					break
-				}
+			sr := NewStreamReader(bufio.NewReader(bytes.NewReader(stream[:c.cut])))
+			got, err := streamBatches(sr, 7)
+			if len(got) != c.complete {
+				t.Errorf("decoded %d entries, want %d", len(got), c.complete)
 			}
-			if got != c.complete {
-				t.Errorf("decoded %d complete records, want %d", got, c.complete)
+			if sr.Indexed() {
+				t.Error("a torn stream reported an index")
 			}
 			if c.wantEOF {
 				if err != io.EOF {
 					t.Errorf("err = %v, want io.EOF", err)
 				}
-			} else if err == nil || err == io.EOF {
-				t.Errorf("err = %v, want a truncation error", err)
+			} else if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
 			}
 		})
 	}
 }
 
-// TestBinaryBatchZeroAndOversized: a zero-length dst must not consume
-// records, and a batch larger than the stream returns the short count
-// with the EOF surfaced on the following call.
-func TestBinaryBatchZeroAndOversized(t *testing.T) {
-	entries := manyEntries(t, 5)
-	br := NewBinaryReader(bytes.NewReader(binaryStream(t, entries)))
+// TestStreamReaderRejectsDamage: a foreign magic and a flipped payload
+// byte are errors, never entries.
+func TestStreamReaderRejectsDamage(t *testing.T) {
+	if _, err := NewStreamReader(bufio.NewReader(strings.NewReader("NOTMAGIC...."))).Next(); err == nil || err == io.EOF {
+		t.Errorf("bad magic: err = %v", err)
+	}
+	data := writeBlockFile(t, manyEntries(t, 40), BlockWriterOptions{BlockEntries: 16})
+	data[len(blockFileMagic)+blockHeaderSize+3] ^= 0xff
+	got, err := streamBatches(NewStreamReader(bufio.NewReader(bytes.NewReader(data))), 64)
+	if len(got) != 0 || !errors.Is(err, errBlockCRC) {
+		t.Errorf("damaged first block: %d entries, err = %v; want 0, errBlockCRC", len(got), err)
+	}
+}
 
-	if n, err := br.NextBatch(nil); n != 0 || err != nil {
+// TestStreamReaderShortAndOversizedBatches: a zero-length dst yields
+// nothing and loses nothing, a batch larger than a block returns the
+// block, and EOF is surfaced alone on the call after the last entry.
+func TestStreamReaderShortAndOversizedBatches(t *testing.T) {
+	entries := manyEntries(t, 5)
+	sr := NewStreamReader(bufio.NewReader(bytes.NewReader(writeBlockFile(t, entries, BlockWriterOptions{}))))
+	if n, err := sr.NextBatch(nil); n != 0 || err != nil {
 		t.Fatalf("NextBatch(nil) = %d, %v", n, err)
 	}
 	batch := make([]Entry, 64)
-	n, err := br.NextBatch(batch)
+	n, err := sr.NextBatch(batch)
 	if n != 5 || err != nil {
 		t.Fatalf("oversized batch = %d, %v; want 5, nil", n, err)
 	}
 	for i := 0; i < 5; i++ {
 		assertEntriesEqual(t, i, batch[i], entries[i])
 	}
-	if n, err := br.NextBatch(batch); n != 0 || err != io.EOF {
+	if n, err := sr.NextBatch(batch); n != 0 || err != io.EOF {
 		t.Fatalf("after EOF: %d, %v", n, err)
 	}
 }
 
-// TestBinaryBatchPartialReads drives NextBatch through a reader that
-// yields one byte at a time — every io.ReadFull boundary in the decoder
-// gets exercised.
-func TestBinaryBatchPartialReads(t *testing.T) {
-	entries := manyEntries(t, 30)
-	stream := binaryStream(t, entries)
-	br := NewBinaryReader(iotest.OneByteReader(bytes.NewReader(stream)))
-	var got []Entry
-	batch := make([]Entry, 11)
-	for {
-		n, err := br.NextBatch(batch)
-		got = append(got, batch[:n]...)
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("decoded %d entries, want %d", len(got), len(entries))
-	}
-	for i := range got {
-		assertEntriesEqual(t, i, got[i], entries[i])
-	}
-}
-
-// TestBinaryBatchAllocs guards the slab-carving batch path: amortized
-// allocations must stay an order of magnitude under one per entry.
-func TestBinaryBatchAllocs(t *testing.T) {
+// TestStreamReaderAllocs guards what the link gets from block framing:
+// allocations are per block (slab, dictionaries), not per entry.
+func TestStreamReaderAllocs(t *testing.T) {
 	entries := manyEntries(t, 2000)
-	stream := binaryStream(t, entries)
+	data := writeBlockFile(t, entries, BlockWriterOptions{BlockEntries: 500})
 	batch := make([]Entry, 256)
 	allocs := testing.AllocsPerRun(5, func() {
-		br := NewBinaryReader(bytes.NewReader(stream))
+		sr := NewStreamReader(bufio.NewReader(bytes.NewReader(data)))
 		for {
-			n, err := br.NextBatch(batch)
-			if err != nil {
-				if err == io.EOF {
-					break
+			if _, err := sr.NextBatch(batch); err != nil {
+				if err != io.EOF {
+					t.Fatal(err)
 				}
-				t.Fatal(err)
-			}
-			if n == 0 {
-				break
+				return
 			}
 		}
 	})
-	perEntry := allocs / float64(len(entries))
-	if perEntry > 0.1 {
-		t.Errorf("binary batch decode allocates %.3f/entry (%.0f total), want <= 0.1", perEntry, allocs)
+	if perEntry := allocs / float64(len(entries)); perEntry > 0.02 {
+		t.Errorf("stream decode allocates %.3f/entry (%.0f total), want <= 0.02", perEntry, allocs)
 	}
 }
 

@@ -1,24 +1,18 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"net/netip"
 	"time"
 )
 
-// The LDTRC02 block trace format. The LDTRC01 stream (binary.go) frames
-// one record per entry, which makes the reader a single-goroutine byte
-// crawl: every record costs a length read, a payload read, and a full
-// address decode, and nothing about the stream tells a reader where
-// entry N lives without reading entries 0..N-1. LDTRC02 restructures
-// the same data into self-describing blocks so ingestion parallelizes
-// and compresses:
+// The LDTRC02 block trace format — the "customized binary stream of
+// internal messages" of §2.5/Figure 3. Entries are grouped into
+// self-describing blocks so ingestion parallelizes and compresses, and a
+// reader can find entry N without reading entries 0..N-1:
 //
 //	file   := magic8 block* index trailer
 //	block  := header(40B) payload
@@ -45,7 +39,9 @@ import (
 // codec 0 stores the payload raw; codec 1 DEFLATEs it (storedLen is the
 // on-disk size, rawLen the decoded size). The writer picks per block:
 // with Codec BlockFlate a block that fails to shrink is stored raw, so
-// pathological payloads never grow the file.
+// pathological payloads never grow the file. Building and opening the
+// frame (codec choice, header, CRC, inflate) lives in frame.go, shared
+// with the qlog stream and the controller↔client link.
 //
 // The index is the seek-and-partition map: per block its file offset,
 // entry count, and first/last timestamp. A trailer at EOF points back
@@ -139,9 +135,8 @@ type BlockHeader struct {
 	CRC       uint32
 }
 
-// AppendBlockHeader appends h's 40-byte encoding to dst. The qlog block
-// stream reuses this frame verbatim, so one header parser serves both.
-func AppendBlockHeader(dst []byte, h BlockHeader) []byte {
+// appendBlockHeader appends h's 40-byte encoding to dst.
+func appendBlockHeader(dst []byte, h BlockHeader) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, blockMagic)
 	dst = append(dst, h.Codec, h.Flags, 0, 0)
 	dst = binary.BigEndian.AppendUint32(dst, h.Count)
@@ -190,8 +185,8 @@ func ParseBlockHeader(buf []byte) (BlockHeader, error) {
 	return h, nil
 }
 
-// BlockCRC is the payload checksum used by the block frame (CRC-32C).
-func BlockCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
+// blockCRC is the payload checksum used by the block frame (CRC-32C).
+func blockCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
 // IndexEntry locates one block inside a block trace file.
 type IndexEntry struct {
@@ -299,9 +294,8 @@ type BlockWriter struct {
 	lens      []byte
 	msgs      []byte
 
-	scratch []byte // assembled payload (and header) staging
-	zbuf    bytes.Buffer
-	zw      *flate.Writer
+	scratch []byte // assembled payload (and footer index) staging
+	framer  *Framer
 }
 
 // NewBlockWriter creates a BlockWriter on w with default options.
@@ -325,6 +319,9 @@ func NewBlockWriterOptions(w io.Writer, opts BlockWriterOptions) *BlockWriter {
 		opts:    opts,
 		srcDict: make(map[netip.Addr]uint32),
 		dstDict: make(map[netip.Addr]uint32),
+		// BlockFlate here is the archival codec: encode cost is paid once
+		// at conversion time.
+		framer: NewFramer(opts.Codec, true),
 	}
 }
 
@@ -389,8 +386,8 @@ func (b *BlockWriter) Write(e Entry) error {
 	return nil
 }
 
-// cutBlock assembles, optionally compresses, and writes the current
-// block, then resets the per-block state.
+// cutBlock assembles and frames the current block, then resets the
+// per-block state.
 func (b *BlockWriter) cutBlock() error {
 	if b.count == 0 {
 		return nil
@@ -410,59 +407,17 @@ func (b *BlockWriter) cutBlock() error {
 	p = append(p, b.msgs...)
 	b.scratch = p
 
-	codec := b.opts.Codec
-	stored := p
-	if codec == BlockFlate {
-		b.zbuf.Reset()
-		if b.zw == nil {
-			// BlockFlate is the archival codec: encode cost is paid once at
-			// conversion time, so spend it on ratio rather than speed. (The
-			// qlog live sink keeps DefaultCompression — it compresses on the
-			// telemetry hot path.)
-			zw, err := flate.NewWriter(&b.zbuf, flate.BestCompression)
-			if err != nil {
-				return err
-			}
-			b.zw = zw
-		} else {
-			b.zw.Reset(&b.zbuf)
-		}
-		if _, err := b.zw.Write(p); err != nil {
-			return err
-		}
-		if err := b.zw.Close(); err != nil {
-			return err
-		}
-		if b.zbuf.Len() < len(p) {
-			stored = b.zbuf.Bytes()
-		} else {
-			codec = BlockRaw // incompressible: store raw, never grow
-		}
-	}
-
-	hdr := BlockHeader{
-		Codec:     codec,
-		Count:     uint32(b.count),
-		RawLen:    uint32(len(p)),
-		StoredLen: uint32(len(stored)),
-		FirstNano: b.firstNano,
-		LastNano:  b.lastNano,
-		CRC:       BlockCRC(stored),
-	}
-	var hbuf [blockHeaderSize]byte
-	if _, err := b.w.Write(AppendBlockHeader(hbuf[:0], hdr)); err != nil {
-		return err
-	}
-	if _, err := b.w.Write(stored); err != nil {
+	n, err := b.framer.WriteFrame(b.w, b.count, b.firstNano, b.lastNano, p)
+	if err != nil {
 		return err
 	}
 	b.blocks = append(b.blocks, IndexEntry{
 		Offset:    b.off,
-		Count:     hdr.Count,
-		FirstNano: hdr.FirstNano,
-		LastNano:  hdr.LastNano,
+		Count:     uint32(b.count),
+		FirstNano: b.firstNano,
+		LastNano:  b.lastNano,
 	})
-	b.off += int64(blockHeaderSize + len(stored))
+	b.off += int64(n)
 
 	b.count = 0
 	clear(b.srcDict)
@@ -693,31 +648,22 @@ func (bc *blockColumns) next(i uint32, e *Entry) error {
 }
 
 // DecodeBlock decodes one block (header + stored payload) into dst,
-// which must have capacity for hdr.Count entries; it returns the filled
-// slice. Message fields alias stored when hdr.Codec is BlockRaw, or a
-// freshly inflated slab otherwise — either way the backing bytes are
-// never recycled, preserving the Entry.Message immutability contract.
+// reusing its capacity when it can hold hdr.Count entries; it returns
+// the filled slice. Message fields alias stored when hdr.Codec is
+// BlockRaw, or a freshly inflated slab otherwise — either way the
+// backing bytes are never recycled, preserving the Entry.Message
+// immutability contract.
 func DecodeBlock(hdr BlockHeader, stored []byte, dst []Entry) ([]Entry, error) {
-	if uint64(len(stored)) != uint64(hdr.StoredLen) {
-		return nil, errBlockTruncPay
+	raw, err := openFrame(hdr, stored)
+	if err != nil {
+		return nil, err
 	}
-	if BlockCRC(stored) != hdr.CRC {
-		return nil, errBlockCRC
-	}
-	raw := stored
-	if hdr.Codec == BlockFlate {
-		slab := make([]byte, hdr.RawLen)
-		zr := flate.NewReader(bytes.NewReader(stored))
-		if _, err := io.ReadFull(zr, slab); err != nil {
-			return nil, fmt.Errorf("trace: inflating block: %w", err)
-		}
-		// A trailing read must hit EOF: extra hidden payload is malformed.
-		var one [1]byte
-		if n, _ := zr.Read(one[:]); n != 0 {
-			return nil, errBlockBounds
-		}
-		raw = slab
-	} else if uint64(len(raw)) != uint64(hdr.RawLen) {
+	return decodeColumns(hdr, raw, dst)
+}
+
+// decodeColumns decodes an opened block payload; entries alias raw.
+func decodeColumns(hdr BlockHeader, raw []byte, dst []Entry) ([]Entry, error) {
+	if uint64(len(raw)) != uint64(hdr.RawLen) {
 		return nil, errBlockTruncPay
 	}
 	bc, err := parseBlockColumns(hdr, raw)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -476,6 +477,66 @@ func (br *BlockReader) Close() error {
 		return nil // borrower: owner unmaps
 	}
 	return br.src.close()
+}
+
+// StreamReader reads an LDTRC02 block stream front to back off any
+// io.Reader — the controller↔client link, a pipe — where BlockReader
+// needs a seekable file. It implements BatchReader. Each block is read
+// into one fresh slab that its entries' Message fields alias (the
+// Entry.Message immutability contract); the Entry views themselves are
+// copied out, so their backing array is reused block to block.
+type StreamReader struct {
+	r   *bufio.Reader
+	fr  *FrameReader
+	cur []Entry
+	pos int
+}
+
+// NewStreamReader reads a block stream, file magic first, from r.
+func NewStreamReader(r *bufio.Reader) *StreamReader { return &StreamReader{r: r} }
+
+// Indexed reports whether the stream ended at its footer index, which
+// only a writer that reached Close produces: a link or pipe consumer uses
+// it to tell a finished trace from a writer that died between blocks.
+func (sr *StreamReader) Indexed() bool { return sr.fr != nil && sr.fr.Indexed() }
+
+func (sr *StreamReader) nextBlock() error {
+	if sr.fr == nil {
+		var magic [8]byte
+		if _, err := io.ReadFull(sr.r, magic[:]); err != nil {
+			return tornFrame(err)
+		}
+		if magic != blockFileMagic {
+			return fmt.Errorf("trace: bad block-trace magic %q", magic[:])
+		}
+		sr.fr = NewFrameReader(sr.r)
+	}
+	hdr, raw, err := sr.fr.Next()
+	if err != nil {
+		return err
+	}
+	sr.cur, err = decodeColumns(hdr, raw, sr.cur[:0])
+	sr.pos = 0
+	return err
+}
+
+// Next implements Reader.
+func (sr *StreamReader) Next() (Entry, error) {
+	var one [1]Entry
+	_, err := sr.NextBatch(one[:])
+	return one[0], err
+}
+
+// NextBatch implements BatchReader.
+func (sr *StreamReader) NextBatch(dst []Entry) (int, error) {
+	for sr.pos >= len(sr.cur) {
+		if err := sr.nextBlock(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(dst, sr.cur[sr.pos:])
+	sr.pos += n
+	return n, nil
 }
 
 // in-memory block trace helpers (tests and benches).

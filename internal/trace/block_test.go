@@ -93,9 +93,9 @@ func TestBlockRoundTripFile(t *testing.T) {
 	}
 }
 
-// TestBlockBatchMatchesNext mirrors the LDTRC01 batch test: batched and
-// per-entry reads of the same file must agree, with an awkward batch
-// size that straddles block boundaries.
+// TestBlockBatchMatchesNext: batched and per-entry reads of the same
+// file must agree, with an awkward batch size that straddles block
+// boundaries.
 func TestBlockBatchMatchesNext(t *testing.T) {
 	entries := manyEntries(t, 257)
 	data := writeBlockFile(t, entries, BlockWriterOptions{BlockEntries: 50})
@@ -265,8 +265,8 @@ func writeRawBlock(t *testing.T, entries []Entry) []byte {
 	if len(entries) == 0 {
 		// Minimal legal payload: two empty dictionaries.
 		payload := []byte{0, 0}
-		hdr := BlockHeader{Codec: BlockRaw, RawLen: uint32(len(payload)), StoredLen: uint32(len(payload)), CRC: BlockCRC(payload)}
-		return append(AppendBlockHeader(nil, hdr), payload...)
+		hdr := BlockHeader{Codec: BlockRaw, RawLen: uint32(len(payload)), StoredLen: uint32(len(payload)), CRC: blockCRC(payload)}
+		return append(appendBlockHeader(nil, hdr), payload...)
 	}
 	var buf bytes.Buffer
 	w := NewBlockWriterOptions(&buf, BlockWriterOptions{BlockEntries: len(entries)})
@@ -426,17 +426,17 @@ func TestParseBlockHeaderHostile(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := base
 			tc.mutate(&h)
-			if _, err := ParseBlockHeader(AppendBlockHeader(nil, h)); err == nil {
+			if _, err := ParseBlockHeader(appendBlockHeader(nil, h)); err == nil {
 				t.Error("hostile header accepted")
 			}
 		})
 	}
 	// The untouched base must parse, or the cases above prove nothing.
-	if _, err := ParseBlockHeader(AppendBlockHeader(nil, base)); err != nil {
+	if _, err := ParseBlockHeader(appendBlockHeader(nil, base)); err != nil {
 		t.Fatalf("benign header rejected: %v", err)
 	}
 	// Bad magic and short buffers.
-	buf := AppendBlockHeader(nil, base)
+	buf := appendBlockHeader(nil, base)
 	buf[0] ^= 0xff
 	if _, err := ParseBlockHeader(buf); !errors.Is(err, errBlockMagic) {
 		t.Errorf("got %v, want errBlockMagic", err)
@@ -453,7 +453,7 @@ func TestDecodeBlockHostilePayloads(t *testing.T) {
 		return BlockHeader{
 			Codec: BlockRaw, Count: count,
 			RawLen: uint32(len(payload)), StoredLen: uint32(len(payload)),
-			CRC: BlockCRC(payload),
+			CRC: blockCRC(payload),
 		}, payload
 	}
 	for _, tc := range []struct {
@@ -489,7 +489,7 @@ func TestDecodeBlockHostilePayloads(t *testing.T) {
 // garbage DEFLATE bytes, and a stream that inflates beyond RawLen.
 func TestDecodeBlockFlateHostile(t *testing.T) {
 	garbage := []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}
-	hdr := BlockHeader{Codec: BlockFlate, Count: 0, RawLen: 2, StoredLen: uint32(len(garbage)), CRC: BlockCRC(garbage)}
+	hdr := BlockHeader{Codec: BlockFlate, Count: 0, RawLen: 2, StoredLen: uint32(len(garbage)), CRC: blockCRC(garbage)}
 	if _, err := DecodeBlock(hdr, garbage, nil); err == nil {
 		t.Error("garbage flate stream decoded without error")
 	}
@@ -557,29 +557,15 @@ func TestBlockReaderAllocsPerEntry(t *testing.T) {
 }
 
 // TestBlockFlateCompresses checks the archival codec actually shrinks a
-// repetitive trace versus both raw blocks and the LDTRC01 stream.
+// repetitive trace versus raw blocks.
 func TestBlockFlateCompresses(t *testing.T) {
 	entries := manyEntries(t, 2000)
 	flate := writeBlockFile(t, entries, BlockWriterOptions{Codec: BlockFlate})
 	raw := writeBlockFile(t, entries, BlockWriterOptions{})
-	var v1 bytes.Buffer
-	w := NewBinaryWriter(&v1)
-	for _, e := range entries {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if len(flate) >= len(raw) {
 		t.Errorf("flate file (%d B) not smaller than raw (%d B)", len(flate), len(raw))
 	}
-	if len(raw) >= v1.Len() {
-		t.Errorf("raw block file (%d B) not smaller than LDTRC01 (%d B)", len(raw), v1.Len())
-	}
-	t.Logf("LDTRC01 %d B, raw blocks %d B, flate blocks %d B (%.1fx)",
-		v1.Len(), len(raw), len(flate), float64(v1.Len())/float64(len(flate)))
+	t.Logf("raw blocks %d B, flate blocks %d B (%.1fx)", len(raw), len(flate), float64(len(raw))/float64(len(flate)))
 }
 
 func TestBlockEntriesAndBlocks(t *testing.T) {

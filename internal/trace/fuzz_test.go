@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -61,6 +62,33 @@ func FuzzBlockDecode(f *testing.F) {
 		for i := 0; i < 1<<20; i++ {
 			if _, err := br.Next(); err != nil {
 				break
+			}
+		}
+	})
+}
+
+// FuzzBlockStream feeds arbitrary bytes to the sequential frame reader
+// — what an untrusted controller can send down the link, or a qlog peer
+// down a collector socket (internal/qlog reads the same frames). Hostile
+// input must end in an error or a clean EOF, never a panic, and a frame is
+// only ever allocated for after its header has passed ParseBlockHeader's
+// bounds.
+func FuzzBlockStream(f *testing.F) {
+	for _, s := range fuzzTraceSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sr := NewStreamReader(bufio.NewReader(bytes.NewReader(data)))
+		for i := 0; i < 1<<20; i++ {
+			e, err := sr.Next()
+			if err != nil {
+				if sr.Indexed() && err != io.EOF {
+					t.Fatalf("error %v after the index marker", err)
+				}
+				return
+			}
+			if e.Protocol > TLS {
+				t.Fatalf("entry %d: protocol %d escaped validation", i, e.Protocol)
 			}
 		}
 	})

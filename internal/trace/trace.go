@@ -1,8 +1,10 @@
 // Package trace defines LDplayer's trace model and the three input
 // formats of Figure 3: raw network traces (pcap, via internal/pcap),
-// human-editable plain text, and the customized binary stream of internal
-// messages used for fast replay. Converters stream between them, so
-// pre-processing never buffers a whole multi-gigabyte trace.
+// human-editable plain text (text.go), and the customized binary stream
+// of internal messages used for fast replay — LDTRC02 blocks (block.go),
+// whose CRC'd block frame (frame.go) is also what the controller↔client
+// link and the qlog telemetry stream carry. Converters stream between
+// them, so pre-processing never buffers a whole multi-gigabyte trace.
 package trace
 
 import (

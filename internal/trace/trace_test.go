@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -147,62 +148,13 @@ func TestTextRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	entries := sampleEntries(t)
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	for _, e := range entries {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, NewBinaryReader(&buf))
-	if len(got) != len(entries) {
-		t.Fatalf("round trip %d -> %d entries", len(entries), len(got))
-	}
-	for i := range got {
-		entriesEquivalent(t, entries[i], got[i])
-		if !bytes.Equal(entries[i].Message, got[i].Message) {
-			t.Errorf("entry %d: binary format must preserve exact wire bytes", i)
-		}
-	}
-}
-
-func TestBinaryIPv6Addresses(t *testing.T) {
+// TestBlockIPv6Addresses: a block whose dictionaries hold 16-byte
+// addresses round-trips them exactly.
+func TestBlockIPv6Addresses(t *testing.T) {
 	e := queryEntry(t, time.Unix(1, 0), "[2001:db8::1]:5353", "[2001:db8::53]:53", UDP, "v6.example.", dnswire.TypeAAAA, nil)
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	if err := w.Write(e); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	got := drain(t, NewBinaryReader(&buf))
+	got := readBlockFile(t, writeBlockFile(t, []Entry{e}, BlockWriterOptions{}))
 	if len(got) != 1 || got[0].Src != e.Src || got[0].Dst != e.Dst {
 		t.Fatalf("v6 round trip = %+v", got)
-	}
-}
-
-func TestBinaryRejectsBadMagicAndTruncation(t *testing.T) {
-	if _, err := NewBinaryReader(strings.NewReader("NOTMAGIC....")).Next(); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Valid stream, then truncate mid-record.
-	e := sampleEntries(t)[0]
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	w.Write(e)
-	w.Flush()
-	trunc := buf.Bytes()[:buf.Len()-5]
-	r := NewBinaryReader(bytes.NewReader(trunc))
-	if _, err := r.Next(); err == nil {
-		t.Error("truncated record accepted")
-	}
-	// Empty stream: immediate EOF, not an error.
-	if _, err := NewBinaryReader(bytes.NewReader(nil)).Next(); err != io.EOF {
-		t.Errorf("empty stream: err = %v, want EOF", err)
 	}
 }
 
@@ -222,9 +174,9 @@ func TestSliceReader(t *testing.T) {
 	}
 }
 
-// TestQuickBinaryRoundTrip: arbitrary well-formed entries survive the
-// binary format byte-exactly.
-func TestQuickBinaryRoundTrip(t *testing.T) {
+// TestQuickBlockRoundTrip: arbitrary well-formed entries survive the
+// block format byte-exactly.
+func TestQuickBlockRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(5)
@@ -256,15 +208,11 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 				Message:  msg,
 			}
 		}
-		var buf bytes.Buffer
-		w := NewBinaryWriter(&buf)
-		for _, e := range entries {
-			if err := w.Write(e); err != nil {
-				return false
-			}
+		data, err := WriteBlockTrace(entries, BlockWriterOptions{BlockEntries: 1 + rng.Intn(3), Codec: uint8(rng.Intn(2))})
+		if err != nil {
+			return false
 		}
-		w.Flush()
-		got, err := ReadAll(NewBinaryReader(&buf))
+		got, err := ReadAll(NewStreamReader(bufio.NewReader(bytes.NewReader(data))))
 		if err != nil || len(got) != len(entries) {
 			return false
 		}
