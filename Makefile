@@ -5,7 +5,8 @@
 # short-form run of the engine hot-path benchmarks (which also executes
 # their allocation sanity assertions), the observability smoke test, and
 # a short fuzz budget over the DNS wire codec, the block frame (file,
-# link and qlog stream) and the qlog event codec. The end-to-end smoke of the
+# link and qlog stream), the qlog event codec and the replay engine's
+# pending table. The end-to-end smoke of the
 # repo's benchmark (`make bench-e2e`) is TestSmokeEveryWorkload in
 # internal/benchkit, part of `make test`. The race-detector suite
 # (`make race`) runs as its own CI job in parallel with the gate, as does
@@ -132,7 +133,10 @@ sim-smoke:
 # target checks the compiled-index Lookup against the map-walking
 # reference on arbitrary (qname, qtype, DO); the authserver target
 # checks that a response-cache hit, a miss and a cache-off engine answer
-# arbitrary query bytes identically.
+# arbitrary query bytes identically. The replay target drives the
+# pending table and a map model of it through random send / answer /
+# retry-deadline / take-back / close sequences and checks after every
+# step that each sent query is in exactly one place.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzMessageUnpack$$' -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run XXX -fuzz 'FuzzPackUnpackRoundTrip$$' -fuzztime 5s ./internal/dnswire/
@@ -143,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzBlockHeader$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockStream$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzQlogBlockDecode$$' -fuzztime 5s ./internal/qlog/
+	$(GO) test -run XXX -fuzz 'FuzzPendTable$$' -fuzztime 5s ./internal/replay/
 
 # Full benchmark sweep (regenerates the paper's tables and figures).
 bench:

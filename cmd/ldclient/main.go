@@ -74,9 +74,7 @@ func run(listen, udp, tcp string, queriers int, idle time.Duration, once bool, o
 		st, err := replay.ServeClient(ln, en)
 		if st != nil {
 			// A link that broke mid-trace still reports what it replayed.
-			fmt.Printf("replayed: sent=%d responses=%d errors=%d conns=%d sources=%d in %v (%.0f q/s)\n",
-				st.Sent, st.Responses, st.Errors, st.ConnsOpened, st.Sources,
-				st.Duration.Round(time.Millisecond), float64(st.Sent)/st.Duration.Seconds())
+			fmt.Println("replayed:", st)
 		}
 		if err != nil {
 			return err

@@ -309,19 +309,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sent=%d responses=%d errors=%d conns=%d sources=%d duration=%v (%.0f q/s)\n",
-		st.Sent, st.Responses, st.Errors, st.ConnsOpened, st.Sources,
-		st.Duration.Round(time.Millisecond), float64(st.Sent)/st.Duration.Seconds())
-	if st.UDPRetransmits+st.Giveups+st.Duplicates > 0 {
-		fmt.Printf("retransmits=%d giveups=%d dup-responses=%d\n",
-			st.UDPRetransmits, st.Giveups, st.Duplicates)
-	}
-	if st.WheelWakeups > 0 || st.WheelSpin > 0 {
-		// Spin near 100% of wall per distributor is a client burning a core.
-		fmt.Printf("pacing: wakeups=%d spin=%.1f%% of wall, wake overshoot p50=%v p99=%v\n",
-			st.WheelWakeups, 100*st.WheelSpin.Seconds()/st.Duration.Seconds(),
-			st.WakeOvershootP50, st.WakeOvershootP99)
-	}
+	fmt.Println(st)
 	if relay != nil {
 		is := relay.Stats()
 		fmt.Printf("impairment: offered=%d dropped=%d duplicated=%d reordered=%d corrupted=%d\n",

@@ -32,10 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	player, err := core.New(core.Config{
-		Zones:          []*zone.Zone{z},
-		MatchResponses: true, // match responses by unique query name
-	})
+	player, err := core.New(core.Config{Zones: []*zone.Zone{z}})
 	if err != nil {
 		log.Fatal(err)
 	}

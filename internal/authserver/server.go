@@ -249,7 +249,7 @@ func (s *Server) serveConn(conn net.Conn, transport Transport) {
 	var rbuf, wbuf []byte
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
-		query, err := readTCPMessage(conn, &rbuf)
+		query, err := ReadTCPMessage(conn, &rbuf)
 		if err != nil {
 			return // idle timeout, EOF, or garbage: drop the connection
 		}
@@ -292,16 +292,10 @@ func remoteAddr(conn net.Conn) netip.Addr {
 }
 
 // ReadTCPMessage reads one RFC 1035 §4.2.2 length-prefixed DNS message
-// into a fresh buffer.
-func ReadTCPMessage(r io.Reader) ([]byte, error) {
-	var buf []byte
-	return readTCPMessage(r, &buf)
-}
-
-// readTCPMessage reads one length-prefixed message into *buf, growing it
-// as needed; the returned slice aliases *buf and is valid until the next
-// call with the same buffer.
-func readTCPMessage(r io.Reader, buf *[]byte) ([]byte, error) {
+// into *buf, growing it as needed; the returned slice aliases *buf and is
+// valid until the next call with the same buffer. A caller that keeps
+// messages passes a fresh (nil) buffer per call.
+func ReadTCPMessage(r io.Reader, buf *[]byte) ([]byte, error) {
 	var lenBuf [2]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err

@@ -118,7 +118,7 @@ func TestServerTCPConnectionReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		respWire, err := ReadTCPMessage(conn)
+		respWire, err := ReadTCPMessage(conn, new([]byte))
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -176,7 +176,7 @@ func TestServerTLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	respWire, err := ReadTCPMessage(conn)
+	respWire, err := ReadTCPMessage(conn, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestServerWildcardBindSourceView(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = tcp.SetReadDeadline(time.Now().Add(2 * time.Second))
-	out, err := ReadTCPMessage(tcp)
+	out, err := ReadTCPMessage(tcp, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}

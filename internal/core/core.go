@@ -3,6 +3,10 @@
 // against it, threads an optional mutation pipeline into the input, and
 // collects the measurements the evaluation relies on — per-query timing
 // error, send rates, response latency, and server-side statistics.
+// Timing error and send rates are observed through the engine's OnSend;
+// latency is the engine's own, measured per query at its pending tables
+// on every run (§4.2 matched responses by a unique name because its
+// client could not; this one matches them by socket and DNS ID).
 package core
 
 import (
@@ -11,9 +15,9 @@ import (
 	"time"
 
 	"ldplayer/internal/authserver"
-	"ldplayer/internal/dnswire"
 	"ldplayer/internal/metrics"
 	"ldplayer/internal/mutate"
+	"ldplayer/internal/obs"
 	"ldplayer/internal/replay"
 	"ldplayer/internal/trace"
 	"ldplayer/internal/zone"
@@ -41,11 +45,6 @@ type Config struct {
 
 	// Mutations transform the input stream before replay (§2.5).
 	Mutations []mutate.Mutation
-
-	// MatchResponses records per-query latency by matching the unique
-	// query name in each response (the §4.2 technique). Requires the
-	// trace (or a PrependUnique mutation) to make names unique.
-	MatchResponses bool
 }
 
 // Player owns a running server and replay engine.
@@ -53,8 +52,6 @@ type Player struct {
 	cfg    Config
 	Server *authserver.Server
 	engine *replay.Engine
-
-	latency *metrics.LatencyRecorder
 }
 
 // Report summarizes one replay run.
@@ -68,7 +65,10 @@ type Report struct {
 	SendInterArrivals []float64
 	// SendRates are per-second send counts (Figure 8's replayed series).
 	SendRates []float64
-	// Latency summarizes matched query→response latency in seconds.
+	// Latency summarizes query→response latency in seconds (§4.2), one
+	// sample per response, from the engine's pending tables. Quantiles, Min
+	// and Max are accurate to a histogram bucket (12.5% of the value), Mean
+	// is exact, and Std, which a histogram does not keep, stays 0.
 	Latency metrics.Summary
 	// ServerStats snapshots the authoritative engine's counters.
 	ServerStats authserver.Stats
@@ -142,33 +142,17 @@ func (p *Player) Replay(ctx context.Context, r trace.Reader) (*Report, error) {
 		sendTimes []time.Time
 	)
 	rates := metrics.NewRateCounter(time.Second)
-	p.latency = metrics.NewLatencyRecorder()
 
 	cfg := p.cfg.Engine
-	userOnSend, userOnResponse := cfg.OnSend, cfg.OnResponse
+	userOnSend := cfg.OnSend
 	cfg.OnSend = func(e *trace.Entry, at time.Time, schedErr time.Duration) {
 		mu.Lock()
 		schedErrs = append(schedErrs, schedErr.Seconds())
 		sendTimes = append(sendTimes, at)
 		mu.Unlock()
 		rates.Add(at)
-		if p.cfg.MatchResponses {
-			if key, ok := qnameOf(e.Message); ok {
-				p.latency.Send(key, at)
-			}
-		}
 		if userOnSend != nil {
 			userOnSend(e, at, schedErr)
-		}
-	}
-	cfg.OnResponse = func(msg []byte, at time.Time) {
-		if p.cfg.MatchResponses {
-			if key, ok := qnameOf(msg); ok {
-				p.latency.Recv(key, at)
-			}
-		}
-		if userOnResponse != nil {
-			userOnResponse(msg, at)
 		}
 	}
 	engine, err := replay.New(cfg)
@@ -197,17 +181,21 @@ func (p *Player) Replay(ctx context.Context, r trace.Reader) (*Report, error) {
 		TimingError:       metrics.Summarize(schedErrs),
 		SendInterArrivals: gaps,
 		SendRates:         rates.Rates(),
-		Latency:           metrics.Summarize(p.latency.Latencies()),
+		Latency:           latencySummary(engine.Latency()),
 		ServerStats:       p.Server.Engine.Stats(),
 	}, nil
 }
 
-// qnameOf extracts the first question name from a wire message without a
-// full unpack (hot path: called per send and per response).
-func qnameOf(msg []byte) (string, bool) {
-	var m dnswire.Message
-	if err := m.Unpack(msg); err != nil || len(m.Question) == 0 {
-		return "", false
+// latencySummary renders the engine's latency histogram (nanoseconds) as
+// the seconds Summary the figures use.
+func latencySummary(h *obs.HistogramSnapshot) metrics.Summary {
+	if h.Count == 0 {
+		return metrics.Summary{}
 	}
-	return m.Question[0].Name, true
+	q := func(p float64) float64 { return h.Quantile(p) / 1e9 }
+	return metrics.Summary{
+		N:   int(h.Count),
+		Min: q(0), P5: q(0.05), P25: q(0.25), P50: q(0.5), P75: q(0.75), P95: q(0.95), Max: q(1),
+		Mean: float64(h.Sum) / float64(h.Count) / 1e9,
+	}
 }

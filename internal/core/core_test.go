@@ -50,7 +50,7 @@ func synTrace(t *testing.T, gap time.Duration, dur time.Duration) trace.Reader {
 }
 
 func TestPlayerEndToEndUDP(t *testing.T) {
-	p := newPlayer(t, Config{MatchResponses: true})
+	p := newPlayer(t, Config{})
 	rep, err := p.Replay(context.Background(), synTrace(t, 5*time.Millisecond, 500*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestPlayerEndToEndUDP(t *testing.T) {
 		t.Errorf("responses = %d of %d", rep.Responses, rep.Sent)
 	}
 	if rep.Latency.N != int(rep.Sent) {
-		t.Errorf("matched latencies = %d", rep.Latency.N)
+		t.Errorf("latency samples = %d, want one per query", rep.Latency.N)
 	}
 	if rep.Latency.P50 <= 0 || rep.Latency.P50 > 0.1 {
 		t.Errorf("median latency = %v", rep.Latency.P50)
@@ -82,9 +82,8 @@ func TestPlayerEndToEndUDP(t *testing.T) {
 
 func TestPlayerMutationToTCP(t *testing.T) {
 	p := newPlayer(t, Config{
-		EnableTCP:      true,
-		Mutations:      []mutate.Mutation{mutate.SetProtocol(trace.TCP)},
-		MatchResponses: true,
+		EnableTCP: true,
+		Mutations: []mutate.Mutation{mutate.SetProtocol(trace.TCP)},
 	})
 	rep, err := p.Replay(context.Background(), synTrace(t, 2*time.Millisecond, 200*time.Millisecond))
 	if err != nil {
@@ -92,6 +91,9 @@ func TestPlayerMutationToTCP(t *testing.T) {
 	}
 	if rep.Sent != 100 || rep.Responses != 100 {
 		t.Errorf("stats = %+v", rep.Stats)
+	}
+	if rep.Latency.N != int(rep.Sent) {
+		t.Errorf("latency samples = %d, want one per query", rep.Latency.N)
 	}
 	if rep.ConnsOpened == 0 || rep.ConnsOpened > 20 {
 		t.Errorf("conns opened = %d, want ~#sources", rep.ConnsOpened)

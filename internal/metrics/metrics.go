@@ -1,8 +1,8 @@
 // Package metrics is LDplayer's measurement toolkit: exact quantiles and
 // CDFs for the paper's box-and-whisker figures, per-second rate counters
-// (Figure 8), a latency recorder that matches queries to responses by the
-// unique-name tag (§4.2), and generic time series for resource sampling
-// (Figures 13 and 14).
+// (Figure 8), and generic time series for resource sampling (Figures 13
+// and 14). Query latency (§4.2) is not measured here: the replay engine's
+// pending tables produce it, and core.Report carries it as a Summary.
 package metrics
 
 import (
@@ -201,55 +201,6 @@ func RelativeDifferences(original, replay []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// LatencyRecorder matches sends to receives by an opaque key (the unique
-// query-name tag) and accumulates latencies.
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	sends   map[string]time.Time
-	samples []float64 // seconds
-	// Unmatched counts receives with no recorded send.
-	Unmatched int64
-}
-
-// NewLatencyRecorder creates an empty recorder.
-func NewLatencyRecorder() *LatencyRecorder {
-	return &LatencyRecorder{sends: make(map[string]time.Time)}
-}
-
-// Send records the transmit time for key.
-func (l *LatencyRecorder) Send(key string, t time.Time) {
-	l.mu.Lock()
-	l.sends[key] = t
-	l.mu.Unlock()
-}
-
-// Recv records the response time for key and accumulates the latency.
-func (l *LatencyRecorder) Recv(key string, t time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	sent, ok := l.sends[key]
-	if !ok {
-		l.Unmatched++
-		return
-	}
-	delete(l.sends, key)
-	l.samples = append(l.samples, t.Sub(sent).Seconds())
-}
-
-// Latencies returns the collected samples in seconds.
-func (l *LatencyRecorder) Latencies() []float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]float64(nil), l.samples...)
-}
-
-// Outstanding returns the number of sends with no matched response.
-func (l *LatencyRecorder) Outstanding() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.sends)
 }
 
 // TimeSeries accumulates (time, value) samples — memory curves,

@@ -148,25 +148,6 @@ func TestRelativeDifferences(t *testing.T) {
 	}
 }
 
-func TestLatencyRecorder(t *testing.T) {
-	l := NewLatencyRecorder()
-	base := time.Unix(0, 0)
-	l.Send("q1", base)
-	l.Send("q2", base)
-	l.Recv("q1", base.Add(30*time.Millisecond))
-	l.Recv("unknown", base.Add(time.Millisecond))
-	lat := l.Latencies()
-	if len(lat) != 1 || math.Abs(lat[0]-0.030) > 1e-9 {
-		t.Errorf("latencies = %v", lat)
-	}
-	if l.Unmatched != 1 {
-		t.Errorf("unmatched = %d", l.Unmatched)
-	}
-	if l.Outstanding() != 1 {
-		t.Errorf("outstanding = %d", l.Outstanding())
-	}
-}
-
 func TestTimeSeriesSteadyState(t *testing.T) {
 	ts := NewTimeSeries("mem")
 	base := time.Unix(0, 0)

@@ -190,7 +190,8 @@ func (g *Gateway) readTCP(tc *gwConn, vport uint16) {
 		tc.conn.Close()
 	}()
 	for {
-		msg, err := authserver.ReadTCPMessage(tc.conn)
+		// A fresh buffer per message: the datagram keeps its payload.
+		msg, err := authserver.ReadTCPMessage(tc.conn, new([]byte))
 		if err != nil {
 			return
 		}

@@ -90,6 +90,19 @@ ns1.example.com.	3600	IN	A	192.0.2.1
 	}
 
 	body := get("/metrics")
+	value := func(series string) string {
+		idx := strings.Index(body, "\n"+series+" ")
+		if idx < 0 {
+			return ""
+		}
+		line, _, _ := strings.Cut(body[idx+1:], "\n")
+		return strings.TrimPrefix(line, series+" ")
+	}
+	// Latency comes from the pending tables, one sample per response: the
+	// histogram is exact and complete, not a per-socket approximation.
+	if n, r := value("ldplayer_rtt_ns_count"), value("ldplayer_responses_total"); n == "" || n != r {
+		t.Errorf("ldplayer_rtt_ns_count = %q, ldplayer_responses_total = %q; want one latency sample per response", n, r)
+	}
 	for _, series := range []string{
 		`metadns_queries_total{transport="udp"}`,
 		`metadns_responses_total{rcode="NOERROR"}`,

@@ -96,7 +96,7 @@ func rstTCPServer(t *testing.T) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				msg, err := authserver.ReadTCPMessage(c)
+				msg, err := authserver.ReadTCPMessage(c, new([]byte))
 				if err != nil {
 					return
 				}

@@ -125,25 +125,19 @@ func (q *querier) sendBatch(batch []trace.Entry) {
 			}
 		}
 	}
-	// Retransmission bookkeeping (pending-map insert + freshness reset) is
-	// only needed when retries can fire. At UDPRetries == 0 duplicate
-	// detection rides the answered ring alone — markAnswered treats a
-	// pending miss identically — so fire-and-forget runs skip the
-	// per-query shard lock entirely.
-	retrans := q.en.cfg.UDPRetries > 0
 	for _, sock := range q.dirty {
 		// Record every send before the syscall that performs it: on
 		// loopback a response can reach the socket's reader before
-		// sendmmsg returns, and it must find its query pending, its send
-		// stamp set and its OnSend delivered.
+		// sendmmsg returns, and it must find its query in the table, stamped,
+		// and its OnSend delivered.
 		at := q.en.clock.Now()
-		sock.lastSend.Store(at.UnixNano())
-		for _, idx := range sock.outIdx {
+		seq := sock.pend.send(at, sock.out...)
+		for k, idx := range sock.outIdx {
 			e := &batch[idx]
-			if retrans {
-				q.trackUDP(sock, e.Message)
-			}
 			q.accountSend(e, at)
+			if q.en.cfg.UDPRetries > 0 {
+				q.wheel.scheduleRetrans(q.en.cfg.UDPRetryTimeout, q, sock, msgID(e.Message), seq+uint32(k))
+			}
 		}
 		if h := q.en.batchSizeHist.Load(); h != nil {
 			h.Record(int64(len(sock.out)))
@@ -152,12 +146,11 @@ func (q *querier) sendBatch(batch []trace.Entry) {
 		// Send guarantees n < len(out) implies err != nil: take the unsent
 		// tail back. Its OnSend and qlog events have gone out already;
 		// OnError follows them.
-		for _, idx := range sock.outIdx[n:] {
-			e := &batch[idx]
-			if retrans {
-				sock.untrackUDP(e.Message)
+		for k := n; k < len(sock.outIdx); k++ {
+			e := &batch[sock.outIdx[k]]
+			if sock.pend.unsend(msgID(e.Message), seq+uint32(k)) {
+				q.en.sent.Add(-1)
 			}
-			q.en.sent.Add(-1)
 			q.fail(e, err)
 		}
 		sock.out = sock.out[:0]
@@ -204,10 +197,7 @@ func fillSendEvent(ev *qlog.Event, e *trace.Entry, at time.Time) {
 	ev.Latency = -1
 	ev.Peer = e.Src.Addr()
 	ev.View = ""
-	ev.ID = 0
-	if len(e.Message) >= 2 {
-		ev.ID = uint16(e.Message[0])<<8 | uint16(e.Message[1])
-	}
+	ev.ID = msgID(e.Message)
 	ev.QType, ev.QClass, ev.QNameLen = 0, 0, 0
 	if qlen := qlog.WireQNameLen(e.Message); qlen > 0 && qlen <= len(ev.QName) {
 		ev.QNameLen = uint8(copy(ev.QName[:], e.Message[12:12+qlen]))
@@ -226,67 +216,19 @@ func (q *querier) fail(e *trace.Entry, err error) {
 	}
 }
 
-// pendShards splits each socket's in-flight state by DNS message ID so
-// the send path (track), the wheel (retransmit), and the reader (answer)
-// contend on different locks. Power of two.
-const pendShards = 8
-
-// shardRingSize bounds the recently-answered ID memory per shard.
-const shardRingSize = 256
-
-// udpSocket is one emulated UDP source. It tracks in-flight queries by
-// DNS message ID so unanswered queries can be retransmitted with
-// exponential backoff and duplicated responses are recognized instead of
-// double-counted.
+// udpSocket is one emulated UDP source.
 type udpSocket struct {
 	conn  *net.UDPConn
 	batch *netio.UDPBatch
-	// lastSend is the UnixNano of the most recent write, consumed (once)
-	// by the reader to produce a round-trip latency sample.
-	lastSend atomic.Int64
-	closed   atomic.Bool
-
-	shards [pendShards]pendShard
+	// pend is the socket's queries in flight: what a retry deadline
+	// re-sends and what a response is a fresh answer to, a duplicate of,
+	// or a stray beside.
+	pend pendTable
 
 	// out and outIdx queue this socket's share of the batch being sent;
 	// owned by the querier goroutine.
 	out    [][]byte
 	outIdx []int
-}
-
-// pendShard holds one slice of a socket's pending and answered state.
-type pendShard struct {
-	mu sync.Mutex
-	// seq stamps each pending insert; a retransmission wheel item fires
-	// only while its seq still matches, which is how answers, ID reuse,
-	// and close cancel timers without touching the wheel.
-	seq     uint32
-	pending map[uint16]pendingQuery
-	// answered remembers recently answered IDs (bounded ring) so a
-	// duplicate of an already-answered response is counted as such.
-	answered     map[uint16]struct{}
-	answeredRing [shardRingSize]uint16
-	answeredN    int
-	answeredLen  int
-}
-
-func (sh *pendShard) init() {
-	sh.pending = make(map[uint16]pendingQuery)
-	sh.answered = make(map[uint16]struct{})
-}
-
-// pendingQuery is one in-flight UDP query awaiting its response. Stored
-// by value: tracking a query allocates nothing unless retransmission
-// needs a wire copy.
-type pendingQuery struct {
-	// wire is retained only when retransmission is enabled.
-	wire    []byte
-	attempt int32
-	seq     uint32
-}
-
-func (sock *udpSocket) shard(id uint16) *pendShard {
-	return &sock.shards[id&(pendShards-1)]
 }
 
 // getUDP returns the socket for src, opening (and wiring a batched
@@ -315,9 +257,7 @@ func (q *querier) getUDP(src netip.Addr) (*udpSocket, error) {
 		return nil, err
 	}
 	sock = &udpSocket{conn: conn, batch: batch}
-	for i := range sock.shards {
-		sock.shards[i].init()
-	}
+	sock.pend.init(&q.en.pend)
 	q.mu.Lock()
 	// Re-check under the lock; a racing send for the same source wins.
 	if existing := q.udp[src]; existing != nil {
@@ -333,134 +273,34 @@ func (q *querier) getUDP(src netip.Addr) (*udpSocket, error) {
 	return sock, nil
 }
 
-// trackUDP registers a query about to be sent in its pending shard and
-// arms its retry slot on the timing wheel. Only called when UDPRetries >
-// 0; fire-and-forget sends skip it (sendBatch) and rely on the answered
-// ring for duplicate detection.
-//
-//ldlint:noalloc
-func (q *querier) trackUDP(sock *udpSocket, msg []byte) {
-	if len(msg) < 2 {
-		return
-	}
-	id := uint16(msg[0])<<8 | uint16(msg[1])
-	retrans := q.en.cfg.UDPRetries > 0
-	var wire []byte
-	if retrans {
-		// trace.Entry.Message buffers are immutable after decode (see the
-		// field's contract), so retransmission retains a reference instead
-		// of copying — the copy was one allocation per query.
-		wire = msg
-	}
-	sh := sock.shard(id)
-	sh.mu.Lock()
-	if sock.closed.Load() {
-		sh.mu.Unlock()
-		return
-	}
-	sh.seq++
-	seq := sh.seq
-	// An ID reused by a later query supersedes the older in-flight one:
-	// the new seq strands the old retransmission slot.
-	delete(sh.answered, id)
-	sh.pending[id] = pendingQuery{wire: wire, seq: seq}
-	sh.mu.Unlock()
-	if retrans {
-		q.wheel.scheduleRetrans(q.en.cfg.UDPRetryTimeout, q, sock, id, seq)
-	}
-}
-
-// untrackUDP cancels the pending slot trackUDP made for msg when its send
-// failed; the armed retry slot goes stale. A slot since taken over by
-// another query with the same ID is left alone.
-func (sock *udpSocket) untrackUDP(msg []byte) {
-	if len(msg) < 2 {
-		return
-	}
-	id := uint16(msg[0])<<8 | uint16(msg[1])
-	sh := sock.shard(id)
-	sh.mu.Lock()
-	if pq, ok := sh.pending[id]; ok && len(pq.wire) > 0 && &pq.wire[0] == &msg[0] {
-		delete(sh.pending, id)
-	}
-	sh.mu.Unlock()
-}
-
-// retransmitUDP fires when a retry slot expires: re-send a still-pending
-// query with a doubled timeout, or give up once the budget is spent.
-// Stale slots (answered, superseded, or closed since arming) no-op.
+// retransmitUDP fires when a retry deadline expires: re-send a query
+// still in flight with a doubled timeout, or count it given up once the
+// budget is spent. Stale deadlines (answered, superseded, or closed since
+// arming) no-op.
 //
 //ldlint:noalloc
 func (q *querier) retransmitUDP(sock *udpSocket, id uint16, seq uint32) {
-	sh := sock.shard(id)
-	sh.mu.Lock()
-	pq, ok := sh.pending[id]
-	if !ok || pq.seq != seq || sock.closed.Load() {
-		sh.mu.Unlock()
+	budget := int32(q.en.cfg.UDPRetries)
+	wire, attempt, live := sock.pend.retry(id, seq, budget)
+	if !live {
 		return
 	}
-	if int(pq.attempt) >= q.en.cfg.UDPRetries {
-		delete(sh.pending, id)
-		sh.mu.Unlock()
+	if attempt > budget {
 		q.en.giveups.Add(1)
 		return
 	}
-	pq.attempt++
-	sh.pending[id] = pq
-	wire := pq.wire
-	attempt := pq.attempt
-	sh.mu.Unlock()
 	if _, err := sock.conn.Write(wire); err != nil {
-		return // socket is closing; drain accounting covers the query
+		return // socket is closing; its table's close covers the query
 	}
 	q.en.udpRetransmits.Add(1)
-	sock.lastSend.Store(q.en.clock.Now().UnixNano())
 	// Exponential backoff: timeout doubles with each retransmission.
 	q.wheel.scheduleRetrans(q.en.cfg.UDPRetryTimeout<<attempt, q, sock, id, seq)
-}
-
-// markAnswered settles a response against the pending shard. It reports
-// whether the response is fresh (true) or a duplicate of an already
-// answered query (false). Unknown IDs count as fresh: traces replayed
-// without tracking context (e.g. ID reuse races) keep legacy accounting.
-//
-//ldlint:noalloc
-func (sock *udpSocket) markAnswered(id uint16) bool {
-	sh := sock.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.pending[id]; ok {
-		delete(sh.pending, id)
-		sh.rememberAnswered(id)
-		return true
-	}
-	if _, dup := sh.answered[id]; dup {
-		return false
-	}
-	sh.rememberAnswered(id)
-	return true
-}
-
-// rememberAnswered records id in the bounded answered ring; callers hold
-// sh.mu.
-//
-//ldlint:noalloc
-func (sh *pendShard) rememberAnswered(id uint16) {
-	if sh.answeredLen == shardRingSize {
-		evict := sh.answeredRing[sh.answeredN]
-		delete(sh.answered, evict)
-	} else {
-		sh.answeredLen++
-	}
-	sh.answeredRing[sh.answeredN] = id
-	sh.answeredN = (sh.answeredN + 1) % shardRingSize
-	sh.answered[id] = struct{}{}
 }
 
 // readUDP drains responses in batches until the socket closes. A
 // GRO-coalesced buffer holds several responses back to back at a fixed
 // segment stride (the last possibly shorter); each segment settles
-// independently.
+// independently, all at the time the batch came out of the kernel.
 func (q *querier) readUDP(sock *udpSocket) {
 	defer q.io.Done()
 	for {
@@ -468,11 +308,12 @@ func (q *querier) readUDP(sock *udpSocket) {
 		if err != nil {
 			return
 		}
+		now := q.en.clock.Now()
 		for i := 0; i < n; i++ {
 			buf := sock.batch.Msg(i)
 			seg := sock.batch.SegSize(i)
 			if seg <= 0 || seg >= len(buf) {
-				q.settleResponse(sock, buf)
+				q.settleResponse(&sock.pend, buf, now)
 				continue
 			}
 			for off := 0; off < len(buf); off += seg {
@@ -480,29 +321,33 @@ func (q *querier) readUDP(sock *udpSocket) {
 				if end > len(buf) {
 					end = len(buf)
 				}
-				q.settleResponse(sock, buf[off:end])
+				q.settleResponse(&sock.pend, buf[off:end], now)
 			}
 		}
 	}
 }
 
-// settleResponse accounts one received response datagram.
+// settleResponse accounts one response received at now on the socket or
+// connection whose table is pend. Only a fresh answer is a response: it
+// alone yields a latency sample and reaches OnResponse.
 //
 //ldlint:noalloc
-func (q *querier) settleResponse(sock *udpSocket, buf []byte) {
-	if len(buf) >= 2 {
-		id := uint16(buf[0])<<8 | uint16(buf[1])
-		if !sock.markAnswered(id) {
-			q.en.dupResponses.Add(1)
-			return
-		}
+func (q *querier) settleResponse(pend *pendTable, msg []byte, now time.Time) {
+	outcome, latency := pendStray, time.Duration(0)
+	if len(msg) >= 2 {
+		outcome, latency = pend.settle(msgID(msg), now)
 	}
-	q.en.responses.Add(1)
-	q.recordRTT(&sock.lastSend)
-	if q.en.cfg.OnResponse != nil {
-		msg := make([]byte, len(buf)) //ldlint:ignore noalloc OnResponse callback owns its copy; only paid when a sink is installed
-		copy(msg, buf)
-		q.en.cfg.OnResponse(msg, q.en.clock.Now())
+	switch outcome {
+	case pendDuplicate:
+		q.en.dupResponses.Add(1)
+	case pendStray:
+		q.en.strays.Add(1)
+	default:
+		q.en.responses.Add(1)
+		q.en.latency.Load().Record(int64(latency))
+		if q.en.cfg.OnResponse != nil {
+			q.en.cfg.OnResponse(msg, now)
+		}
 	}
 }
 
@@ -513,27 +358,18 @@ type streamConn struct {
 	lastUsed time.Time
 	closed   bool
 	done     chan struct{}
-	lastSend atomic.Int64
-}
-
-// recordRTT converts a pending send timestamp into a latency sample when
-// the engine is instrumented. Swap(0) consumes the timestamp so each send
-// yields at most one sample.
-func (q *querier) recordRTT(lastSend *atomic.Int64) {
-	h := q.en.latency.Load()
-	if h == nil {
-		return
-	}
-	if t := lastSend.Swap(0); t != 0 {
-		h.Record(q.en.clock.Now().UnixNano() - t)
-	}
+	// pend is the connection's queries in flight; sends file into it under
+	// mu, so closing the connection and taking back a failed write cannot
+	// both account for one query.
+	pend pendTable
 }
 
 // sendStream writes e to its source's connection, reconnecting up to
 // StreamAttempts times. The send is recorded once, before the first write
 // (a response can come back before Write returns) and after the
-// connection exists, so connection set-up is not in the send stamp; a
-// query no attempt delivered is taken back and returned as an error.
+// connection exists, so connection set-up is not in the send stamp; every
+// attempt files the query under that first stamp. A query no attempt
+// delivered is taken back and returned as an error.
 func (q *querier) sendStream(e *trace.Entry) error {
 	target := q.en.cfg.TCPTarget
 	if e.Protocol == trace.TLS {
@@ -545,7 +381,7 @@ func (q *querier) sendStream(e *trace.Entry) error {
 	key := streamKey{addr: e.Src.Addr(), proto: e.Protocol}
 
 	var err error = errConnBroken{}
-	accounted := false
+	var first time.Time
 	for attempt := 0; attempt < q.en.cfg.StreamAttempts; attempt++ {
 		//ldlint:ignore noallocprop lazy per-stream connection setup: the dial path allocates once per stream, then every entry reuses it
 		sc, derr := q.getStream(key, e.Protocol, target)
@@ -554,9 +390,9 @@ func (q *querier) sendStream(e *trace.Entry) error {
 			break
 		}
 		now := q.en.clock.Now()
-		if !accounted {
-			accounted = true
-			q.accountSend(e, now)
+		if first.IsZero() {
+			first = now
+			q.accountSend(e, first)
 		}
 		sc.mu.Lock()
 		if sc.closed {
@@ -566,16 +402,22 @@ func (q *querier) sendStream(e *trace.Entry) error {
 			continue // reconnect once
 		}
 		sc.lastUsed = now
-		sc.lastSend.Store(now.UnixNano())
+		seq := sc.pend.send(first, e.Message)
 		werr := authserver.WriteTCPMessage(sc.conn, e.Message)
+		tookBack := werr != nil && sc.pend.unsend(msgID(e.Message), seq)
 		sc.mu.Unlock()
 		if werr == nil {
 			return nil
 		}
 		q.dropStream(key, sc)
 		q.en.retries.Add(1)
+		if !tookBack {
+			// Out of the table some other way while the write was failing
+			// (a response under its ID): accounted for there, not sent again.
+			return nil
+		}
 	}
-	if accounted {
+	if !first.IsZero() {
 		q.en.sent.Add(-1)
 	}
 	return err
@@ -599,6 +441,7 @@ func (q *querier) getStream(key streamKey, proto trace.Protocol, target string) 
 		return nil, err
 	}
 	sc = &streamConn{conn: conn, lastUsed: q.en.clock.Now(), done: make(chan struct{})}
+	sc.pend.init(&q.en.pend)
 	q.mu.Lock()
 	if existing := q.conn[key]; existing != nil {
 		q.mu.Unlock()
@@ -621,6 +464,7 @@ func (q *querier) dropStream(key streamKey, sc *streamConn) {
 		sc.closed = true
 		sc.conn.Close()
 		close(sc.done)
+		sc.pend.close()
 	}
 	sc.mu.Unlock()
 	q.mu.Lock()
@@ -632,20 +476,18 @@ func (q *querier) dropStream(key streamKey, sc *streamConn) {
 
 func (q *querier) readStream(key streamKey, sc *streamConn) {
 	defer q.io.Done()
+	var buf []byte // every message of the connection is read into this
 	for {
-		msg, err := authserver.ReadTCPMessage(sc.conn)
+		msg, err := authserver.ReadTCPMessage(sc.conn, &buf)
 		if err != nil {
 			q.dropStream(key, sc)
 			return
 		}
+		now := q.en.clock.Now()
 		sc.mu.Lock()
-		sc.lastUsed = q.en.clock.Now()
+		sc.lastUsed = now
 		sc.mu.Unlock()
-		q.en.responses.Add(1)
-		q.recordRTT(&sc.lastSend)
-		if q.en.cfg.OnResponse != nil {
-			q.en.cfg.OnResponse(msg, q.en.clock.Now())
-		}
+		q.settleResponse(&sc.pend, msg, now)
 	}
 }
 
@@ -677,18 +519,11 @@ func (q *querier) idleCloser(key streamKey, sc *streamConn) {
 
 // closeSockets tears down all sockets after the drain grace period. The
 // caller has already stopped the timing wheel, so no retransmission can
-// fire during or after this; clearing the pending shards strands any
-// still-queued wheel items for good measure.
+// fire during or after this. A UDP table closes once its reader has
+// exited, so whatever the reader still settles counts as answered.
 func (q *querier) closeSockets() {
 	q.mu.Lock()
 	for _, s := range q.udp {
-		s.closed.Store(true)
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			clear(sh.pending)
-			sh.mu.Unlock()
-		}
 		s.conn.Close()
 	}
 	conns := make([]*streamConn, 0, len(q.conn))
@@ -702,6 +537,11 @@ func (q *querier) closeSockets() {
 		q.dropStream(keys[i], c)
 	}
 	q.io.Wait()
+	q.mu.Lock()
+	for _, s := range q.udp {
+		s.pend.close()
+	}
+	q.mu.Unlock()
 }
 
 type errNoTarget struct{ proto trace.Protocol }

@@ -39,6 +39,7 @@ import (
 	"hash/maphash"
 	"io"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,13 +134,17 @@ type Config struct {
 	// the kernel spends on the batch, and a send that then fails is
 	// followed by OnError for the same entry.
 	OnSend func(e *trace.Entry, at time.Time, schedErr time.Duration)
-	// OnResponse, if set, observes every response with its arrival time.
+	// OnResponse, if set, observes every response — the first answer to a
+	// query in flight; duplicates and strays are only counted — with its
+	// arrival time. msg is the reader's receive buffer, valid only during
+	// the call: copy what must outlive it.
 	OnResponse func(msg []byte, at time.Time)
 	// OnError, if set, observes per-query errors (connect failures etc).
 	OnError func(e *trace.Entry, err error)
 }
 
-// Stats summarizes one replay run.
+// Stats summarizes one replay run. Every sent query ends in exactly one
+// of three ways, so Sent == Responses + Giveups + Unanswered.
 type Stats struct {
 	Sent        int64
 	Responses   int64
@@ -147,18 +152,35 @@ type Stats struct {
 	ConnsOpened int64
 	Retries     int64
 	IdleClosed  int64
-	Unanswered  int64
+	// Unanswered counts queries that got neither an answer nor a give-up:
+	// still in flight when their socket or connection closed, or
+	// superseded by a later query under the same DNS ID on the same socket.
+	Unanswered int64
 	// UDPRetransmits counts UDP queries re-sent after a retry timeout.
 	UDPRetransmits int64
 	// Giveups counts UDP queries abandoned after the retransmission
-	// budget was exhausted (a subset of Unanswered).
+	// budget was exhausted.
 	Giveups int64
 	// Duplicates counts responses discarded because their query was
 	// already answered (e.g. a duplicated datagram on the path); they are
 	// not in Responses, so duplication never double-counts.
 	Duplicates int64
-	Sources    int
-	Duration   time.Duration
+	// Stray counts responses discarded because their socket had no query,
+	// in flight or answered, under their DNS ID — an answer that outlived
+	// its query's give-up, say.
+	Stray    int64
+	Sources  int
+	Duration time.Duration
+
+	// LatencyCount, LatencyP50, P90 and P99 summarize query→response
+	// latency: the arrival of each query's first answer minus its first
+	// transmission, one sample per response. Like the wheel figures below
+	// they span the engine's lifetime; LatencyCount == Responses for an
+	// engine that has replayed once.
+	LatencyCount int64
+	LatencyP50   time.Duration
+	LatencyP90   time.Duration
+	LatencyP99   time.Duration
 
 	// WheelWakeups counts the timing wheels' timed waits and WheelSpin the
 	// time they then spent spinning to release instants: WheelSpin over
@@ -169,6 +191,27 @@ type Stats struct {
 	WheelSpin        time.Duration
 	WakeOvershootP50 time.Duration
 	WakeOvershootP99 time.Duration
+}
+
+// String renders the exit summary the CLIs print: the conservation line,
+// latency, and — when there is anything to say — the retransmission and
+// discarded-response counts and the wheel's waiting.
+func (st *Stats) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "sent=%d responses=%d giveups=%d unanswered=%d errors=%d conns=%d sources=%d duration=%v (%.0f q/s)",
+		st.Sent, st.Responses, st.Giveups, st.Unanswered, st.Errors, st.ConnsOpened, st.Sources,
+		st.Duration.Round(time.Millisecond), float64(st.Sent)/st.Duration.Seconds())
+	fmt.Fprintf(&b, "\nlatency: n=%d p50=%v p90=%v p99=%v", st.LatencyCount, st.LatencyP50, st.LatencyP90, st.LatencyP99)
+	if st.UDPRetransmits+st.Duplicates+st.Stray > 0 {
+		fmt.Fprintf(&b, "\nretransmits=%d dup-responses=%d stray-responses=%d", st.UDPRetransmits, st.Duplicates, st.Stray)
+	}
+	if st.WheelWakeups > 0 || st.WheelSpin > 0 {
+		// Spin near 100% of wall per distributor is a client burning a core.
+		fmt.Fprintf(&b, "\npacing: wakeups=%d spin=%.1f%% of wall, wake overshoot p50=%v p99=%v",
+			st.WheelWakeups, 100*st.WheelSpin.Seconds()/st.Duration.Seconds(),
+			st.WakeOvershootP50, st.WakeOvershootP99)
+	}
+	return b.String()
 }
 
 // Engine replays traces against live servers.
@@ -182,15 +225,18 @@ type Engine struct {
 	connsOpened    atomic.Int64
 	retries        atomic.Int64
 	idleClosed     atomic.Int64
-	unanswered     atomic.Int64
 	udpRetransmits atomic.Int64
 	giveups        atomic.Int64
 	dupResponses   atomic.Int64
+	strays         atomic.Int64
+	// pend is the in-flight and unanswered tally the sockets' pending
+	// tables move.
+	pend pendCounts
 
-	// latency, when instrumented, records send→response round trips in
-	// nanoseconds. The measurement is per-socket (last send timestamp), so
-	// pipelined same-source queries fold into one sample — fine for the
-	// live-rate view this feeds.
+	// latency records each response's exact query→response latency in
+	// nanoseconds, straight from the pending table. Like wheel.overshoot it
+	// is the engine's own until Instrument swaps in the registry's, and is
+	// never reset.
 	latency atomic.Pointer[obs.Histogram]
 	// schedErrHist, when instrumented, records per-query scheduling error
 	// (actual send time minus ideal trace time) in nanoseconds.
@@ -209,12 +255,11 @@ type Engine struct {
 	seed maphash.Seed
 }
 
-// Instrument registers the engine's counters with reg and enables the
-// round-trip latency histogram. Metric reads happen at scrape time via
-// function metrics, so the send/receive hot paths pay nothing beyond the
-// atomic adds they already perform. Safe to call for each fresh Engine
-// sharing one registry: re-registration re-points the scrape functions
-// at the newest engine.
+// Instrument registers the engine's counters and histograms with reg.
+// Metric reads happen at scrape time via function metrics, so the
+// send/receive hot paths pay nothing beyond the atomic adds they already
+// perform. Safe to call for each fresh Engine sharing one registry:
+// re-registration re-points the scrape functions at the newest engine.
 func (en *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -225,22 +270,18 @@ func (en *Engine) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("ldplayer_conns_opened_total", "", "sockets and stream connections opened", en.connsOpened.Load)
 	reg.CounterFunc("ldplayer_retries_total", "", "stream sends retried on a fresh connection", en.retries.Load)
 	reg.CounterFunc("ldplayer_idle_closed_total", "", "stream connections closed by the idle timeout", en.idleClosed.Load)
-	reg.CounterFunc("ldplayer_unanswered_total", "", "queries still unanswered at the drain deadline", en.unanswered.Load)
+	reg.CounterFunc("ldplayer_unanswered_total", "", "queries superseded under their DNS ID or in flight when their socket closed", en.pend.unanswered.Load)
 	reg.CounterFunc("ldplayer_udp_retransmits_total", "", "UDP queries re-sent after a retry timeout", en.udpRetransmits.Load)
 	reg.CounterFunc("ldplayer_giveups_total", "", "UDP queries abandoned after the retransmission budget", en.giveups.Load)
 	reg.CounterFunc("ldplayer_dup_responses_total", "", "responses discarded as duplicates of an answered query", en.dupResponses.Load)
-	reg.GaugeFunc("ldplayer_in_flight", "", "queries sent and not yet answered", func() int64 {
-		if d := en.sent.Load() - en.responses.Load(); d > 0 {
-			return d
-		}
-		return 0
-	})
+	reg.CounterFunc("ldplayer_stray_responses_total", "", "responses discarded for matching no query in flight or answered", en.strays.Load)
+	reg.GaugeFunc("ldplayer_in_flight", "", "queries in the sockets' pending tables", en.pend.inFlight.Load)
 	reg.GaugeFunc("ldplayer_wheel_lag_ns", "", "timing-wheel scheduling debt (ns)", en.wheelLag.Load)
 	reg.GaugeFunc("ldplayer_wheel_guard_ns", "", "how far ahead of a release the timing wheel stops sleeping and spins (ns)", en.wheel.guard.Load)
 	reg.CounterFunc("ldplayer_wheel_wakeups_total", "", "timing-wheel timed waits that ran to their deadline", en.wheel.wakeups.Load)
 	reg.CounterFunc("ldplayer_wheel_spin_ns_total", "", "time the timing wheel spent spinning to release instants (ns)", en.wheel.spinNs.Load)
 	en.wheel.overshoot.Store(reg.Histogram("ldplayer_wheel_wake_overshoot_ns", "", "how long after its deadline a timing-wheel wait returned (ns)"))
-	en.latency.Store(reg.Histogram("ldplayer_rtt_ns", "", "send to response round trip (ns)"))
+	en.latency.Store(reg.Histogram("ldplayer_rtt_ns", "", "first send to first response, per query (ns)"))
 	en.schedErrHist.Store(reg.Histogram("ldplayer_sched_err_ns", "", "send scheduling error vs ideal trace time (ns)"))
 	en.batchSizeHist.Store(reg.Histogram("ldplayer_send_batch_size", "", "messages per batched UDP send"))
 }
@@ -279,6 +320,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	en := &Engine{cfg: cfg, clock: vclock.Or(cfg.Clock), seed: maphash.MakeSeed()}
 	en.wheel.overshoot.Store(&obs.Histogram{})
+	en.latency.Store(&obs.Histogram{})
 	return en, nil
 }
 
@@ -566,33 +608,30 @@ func (en *Engine) resetCounters() {
 	en.connsOpened.Store(0)
 	en.retries.Store(0)
 	en.idleClosed.Store(0)
-	en.unanswered.Store(0)
 	en.udpRetransmits.Store(0)
 	en.giveups.Store(0)
 	en.dupResponses.Store(0)
+	en.strays.Store(0)
+	en.pend.inFlight.Store(0)
+	en.pend.unanswered.Store(0)
 	en.wheel.wakeups.Store(0)
 	en.wheel.spinNs.Store(0)
 }
 
 // finish is the shared run tail: wait out the response grace period,
-// tear sockets down, settle the unanswered count, and assemble Stats.
+// tear sockets down — which moves what is still in flight to unanswered —
+// and assemble Stats.
 func (en *Engine) finish(start time.Time, sources *sourceTracker, dists []*distributor) *Stats {
 	// Give in-flight responses a grace period, then shut sockets down.
-	// Only sleep while something is actually outstanding: an all-answered
+	// Only sleep while something is actually in flight: an all-answered
 	// (or all-given-up) run must exit immediately, and a blackholed run
-	// must terminate at the deadline with correct unanswered accounting
-	// rather than hang.
-	if en.cfg.DrainTimeout > 0 && en.outstanding() > 0 {
-		deadline := en.clock.Now().Add(en.cfg.DrainTimeout)
-		for en.clock.Now().Before(deadline) && en.outstanding() > 0 {
-			en.clock.Sleep(5 * time.Millisecond)
-		}
+	// must terminate at the deadline rather than hang.
+	deadline := en.clock.Now().Add(en.cfg.DrainTimeout)
+	for en.pend.inFlight.Load() > 0 && en.clock.Now().Before(deadline) {
+		en.clock.Sleep(5 * time.Millisecond)
 	}
 	for _, d := range dists {
 		d.closeQueriers()
-	}
-	if missing := en.sent.Load() - en.responses.Load(); missing > 0 {
-		en.unanswered.Store(missing)
 	}
 	st := &Stats{
 		Sent:           en.sent.Load(),
@@ -601,14 +640,21 @@ func (en *Engine) finish(start time.Time, sources *sourceTracker, dists []*distr
 		ConnsOpened:    en.connsOpened.Load(),
 		Retries:        en.retries.Load(),
 		IdleClosed:     en.idleClosed.Load(),
-		Unanswered:     en.unanswered.Load(),
+		Unanswered:     en.pend.unanswered.Load(),
 		UDPRetransmits: en.udpRetransmits.Load(),
 		Giveups:        en.giveups.Load(),
 		Duplicates:     en.dupResponses.Load(),
+		Stray:          en.strays.Load(),
 		Sources:        sources.count(),
 		Duration:       en.clock.Now().Sub(start),
 		WheelWakeups:   en.wheel.wakeups.Load(),
 		WheelSpin:      time.Duration(en.wheel.spinNs.Load()),
+	}
+	if lat := en.Latency(); lat.Count > 0 {
+		st.LatencyCount = lat.Count
+		st.LatencyP50 = time.Duration(lat.Quantile(0.5))
+		st.LatencyP90 = time.Duration(lat.Quantile(0.9))
+		st.LatencyP99 = time.Duration(lat.Quantile(0.99))
 	}
 	if over := en.wheel.overshoot.Load().Snapshot(); over.Count > 0 {
 		st.WakeOvershootP50 = time.Duration(over.Quantile(0.5))
@@ -617,11 +663,10 @@ func (en *Engine) finish(start time.Time, sources *sourceTracker, dists []*distr
 	return st
 }
 
-// outstanding is the number of sent queries neither answered nor given
-// up — what the drain grace period is actually waiting for.
-func (en *Engine) outstanding() int64 {
-	return en.sent.Load() - en.responses.Load() - en.giveups.Load()
-}
+// Latency snapshots the distribution behind Stats' latency figures:
+// nanoseconds from each answered query's first transmission to its first
+// response.
+func (en *Engine) Latency() *obs.HistogramSnapshot { return en.latency.Load().Snapshot() }
 
 // sourceTracker counts distinct original sources across the run.
 type sourceTracker struct {

@@ -83,42 +83,39 @@ func TestDrainSkipsWhenAllAnswered(t *testing.T) {
 	}
 }
 
-// TestUDPRetransmitRecoversLoss drops every first arrival of a query; the
-// retransmission must get it answered.
-func TestUDPRetransmitRecoversLoss(t *testing.T) {
-	dropFirst := make(map[uint16]bool)
-	var fmu sync.Mutex
+// dropFirstUDPServer loses the first transmission of every query (by DNS
+// ID) and answers the ones after it.
+func dropFirstUDPServer(t *testing.T) string {
+	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
 	go func() {
+		var seen [1 << 16]bool
 		buf := make([]byte, 64*1024)
 		for {
 			n, raddr, err := conn.ReadFromUDP(buf)
 			if err != nil {
 				return
 			}
-			if n < 2 {
+			if id := msgID(buf[:n]); n < 3 || !seen[id] {
+				seen[id] = true
 				continue
 			}
-			id := uint16(buf[0])<<8 | uint16(buf[1])
-			fmu.Lock()
-			first := !dropFirst[id]
-			dropFirst[id] = true
-			fmu.Unlock()
-			if first {
-				continue // drop the first transmission of every query
-			}
-			resp := append([]byte(nil), buf[:n]...)
-			resp[2] |= 0x80
-			_, _ = conn.WriteToUDP(resp, raddr)
+			buf[2] |= 0x80 // QR
+			_, _ = conn.WriteToUDP(buf[:n], raddr)
 		}
 	}()
+	return conn.LocalAddr().String()
+}
 
+// TestUDPRetransmitRecoversLoss drops every first arrival of a query; the
+// retransmission must get it answered.
+func TestUDPRetransmitRecoversLoss(t *testing.T) {
 	en, err := New(Config{
-		UDPTarget:       conn.LocalAddr().String(),
+		UDPTarget:       dropFirstUDPServer(t),
 		UDPRetries:      2,
 		UDPRetryTimeout: 40 * time.Millisecond,
 		DrainTimeout:    2 * time.Second,
@@ -143,8 +140,9 @@ func TestUDPRetransmitRecoversLoss(t *testing.T) {
 }
 
 // TestUDPGiveupAfterBudget blackholes everything: every query must be
-// retransmitted UDPRetries times and then given up, and the run must
-// terminate by the drain deadline with full unanswered accounting.
+// retransmitted UDPRetries times and then given up — which is its one
+// ending: a given-up query is not also unanswered — and the run must
+// terminate once the last one has, not at the drain deadline.
 func TestUDPGiveupAfterBudget(t *testing.T) {
 	addr, _, _ := scriptedUDPServer(t, func(int64) int { return -1 })
 	en, err := New(Config{
@@ -168,8 +166,8 @@ func TestUDPGiveupAfterBudget(t *testing.T) {
 	if st.Giveups != 8 {
 		t.Errorf("giveups = %d, want 8", st.Giveups)
 	}
-	if st.Unanswered != 8 {
-		t.Errorf("unanswered = %d, want 8", st.Unanswered)
+	if st.Unanswered != 0 {
+		t.Errorf("unanswered = %d, want 0: all 8 were given up", st.Unanswered)
 	}
 	if st.UDPRetransmits != 8 {
 		t.Errorf("retransmits = %d, want 8 (1 retry each)", st.UDPRetransmits)

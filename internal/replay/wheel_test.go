@@ -148,8 +148,8 @@ func wheelQuerier(t *testing.T, cfg Config) (*querier, *wheel) {
 // insertion order and expects them to fire in deadline order.
 func TestWheelRetransFiringOrder(t *testing.T) {
 	addr, ids := recordingServer(t)
-	// A long engine retry timeout parks trackUDP's own deadlines far in
-	// the future; the test arms its own, shorter ones below.
+	// The test files the queries itself and arms its own deadlines below;
+	// the engine's retry timeout only sets the re-armed backoff.
 	q, w := wheelQuerier(t, Config{UDPTarget: addr, UDPRetries: 1, UDPRetryTimeout: time.Hour})
 
 	src := mkAddrPort(7, 5353)
@@ -157,22 +157,21 @@ func TestWheelRetransFiringOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// IDs in different shards so each gets seq 1 from its first track.
 	msgA := []byte{0x00, 0x01, 0x00, 0x00} // id 1
 	msgB := []byte{0x00, 0x02, 0x00, 0x00} // id 2
 	if _, err := sock.conn.Write(msgA); err != nil {
 		t.Fatal(err)
 	}
-	q.trackUDP(sock, msgA)
+	seqA := sock.pend.send(time.Now(), msgA)
 	if _, err := sock.conn.Write(msgB); err != nil {
 		t.Fatal(err)
 	}
-	q.trackUDP(sock, msgB)
+	seqB := sock.pend.send(time.Now(), msgB)
 
 	// Arm A after B despite A being sent first: firing must follow the
 	// deadlines, not insertion or send order.
-	w.scheduleRetrans(120*time.Millisecond, q, sock, 1, 1)
-	w.scheduleRetrans(40*time.Millisecond, q, sock, 2, 1)
+	w.scheduleRetrans(120*time.Millisecond, q, sock, 1, seqA)
+	w.scheduleRetrans(40*time.Millisecond, q, sock, 2, seqB)
 
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
@@ -209,13 +208,12 @@ func TestWheelRetransCancelledByAnswer(t *testing.T) {
 	if _, err := sock.conn.Write(msg); err != nil {
 		t.Fatal(err)
 	}
-	q.trackUDP(sock, msg)
-	w.scheduleRetrans(30*time.Millisecond, q, sock, 3, 1)
+	w.scheduleRetrans(30*time.Millisecond, q, sock, 3, sock.pend.send(time.Now(), msg))
 
-	// The answer lands before the deadline: pending clears, seq survives,
-	// and the armed slot goes stale.
-	if !sock.markAnswered(3) {
-		t.Fatal("markAnswered(3) = false, want fresh answer")
+	// The answer lands before the deadline: the slot clears and the armed
+	// deadline goes stale.
+	if outcome, _ := sock.pend.settle(3, time.Now()); outcome != pendFresh {
+		t.Fatalf("settle(3) = %v, want a fresh answer", outcome)
 	}
 	time.Sleep(150 * time.Millisecond)
 	if got := ids(); len(got) != 1 {
