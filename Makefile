@@ -1,43 +1,33 @@
 # Development targets for the LDplayer reproduction. `make check` is the
-# gate every change must pass: vet, the repo's own static analyzers
-# (ldlint, including the interprocedural call-graph passes and the
-# compiler escape cross-check), build, the full test suite, a
-# short-form run of the engine hot-path benchmarks (which also executes
-# their allocation sanity assertions), the observability smoke test, and
-# a short fuzz budget over the DNS wire codec, the block frame (file,
-# link and qlog stream), the qlog event codec and the replay engine's
-# pending table. The end-to-end smoke of the
-# repo's benchmark (`make bench-e2e`) is TestSmokeEveryWorkload in
-# internal/benchkit, part of `make test`. The race-detector suite
-# (`make race`) runs as its own CI job in parallel with the gate, as does
-# the repeat-under-load flake hunt (`make flake`); run them locally
-# before pushing concurrency or timing changes.
+# gate every change must pass: vet, build, the full test suite (which
+# holds the repo's static analyzers as TestRepoLintClean — `make lint`
+# is the same check from the command line — and the end-to-end smoke of
+# every `make bench-e2e` workload, TestSmokeEveryWorkload in
+# internal/benchkit), a short-form run of the engine hot-path benchmarks
+# (which also executes their allocation sanity assertions), the
+# observability, telemetry and virtual-time smokes, and a short fuzz
+# budget over the decoders of untrusted bytes (DNS wire, block frame,
+# qlog events, pcap/pcapng, zone master files) and the replay engine's
+# pending table. The race-detector suite (`make race`) runs as its own CI
+# job in parallel with the gate, as does the repeat-under-load flake
+# hunt (`make flake`); run them locally before pushing concurrency or
+# timing changes.
 
 GO ?= go
 
-.PHONY: check vet lint lint-interproc build test race flake fallback bench-smoke bench-e2e bench-ledger bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
+.PHONY: check vet lint build test race flake fallback bench-smoke bench-e2e bench-ledger bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
 
-check: vet lint-interproc build test bench-smoke obs-smoke qlog-smoke sim-smoke fuzz-smoke
+check: vet build test bench-smoke obs-smoke qlog-smoke sim-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis: enforces the zero-alloc, determinism,
-# pool-shape, trace-immutability, and lock-copy contracts. Exits
-# non-zero on any diagnostic. `go run ./cmd/ldlint -h` documents the
-# -list/-only/-disable flags and the //ldlint: directive grammar.
+# The repo's static analyzers (ldlint) over every package, all of them
+# on every run; exits non-zero on any diagnostic. `go run ./cmd/ldlint
+# -list` names them, `-h` documents the //ldlint: directive grammar.
+# TestRepoLintClean runs the same check inside `make test`.
 lint:
 	$(GO) run ./cmd/ldlint ./...
-
-# Full static-analysis gate: the per-package suite plus the
-# interprocedural call-graph analyzers (noallocprop, determreach,
-# shardconfine) and the escapecheck diff of the compiler's escape
-# verdicts against the //ldlint:noalloc set. Wall time on the reference
-# box: per-package `make lint` ~2.6 s; this target ~7.1 s (the call
-# graph is one extra typecheck-and-walk; escapecheck replays cached
-# `go build -gcflags='-m -m'` diagnostics, so warm runs stay cheap).
-lint-interproc:
-	$(GO) run ./cmd/ldlint -interproc -escapecheck ./...
 
 build:
 	$(GO) build ./...
@@ -123,24 +113,29 @@ sim-smoke:
 	end=$$(date +%s%N); \
 	echo "sim-smoke: ok in $$(( (end - start) / 1000000 )) ms wall (baseline before vclock: ~150 s for the netsim+experiments slice)"
 
-# Short fuzz budget over the DNS wire codec and the LDTRC02 block trace
-# codec: hostile decode must never panic, decode→encode must reach a
-# byte-identical fixed point, and arbitrary block files must error
+# Short fuzz budget over every decoder of untrusted bytes and the
+# pending table: hostile decode must never panic, decode→encode must reach
+# a byte-identical fixed point, and arbitrary block files must error
 # cleanly through the full open/index/parallel-decode path and, read
 # front to back as the controller↔client link and the qlog stream read
 # them (FuzzBlockStream), through the sequential frame reader;
-# FuzzQlogBlockDecode is the qlog event cursor behind that reader. The zone
-# target checks the compiled-index Lookup against the map-walking
-# reference on arbitrary (qname, qtype, DO); the authserver target
-# checks that a response-cache hit, a miss and a cache-off engine answer
-# arbitrary query bytes identically. The replay target drives the
-# pending table and a map model of it through random send / answer /
-# retry-deadline / take-back / close sequences and checks after every
-# step that each sent query is in exactly one place.
+# FuzzQlogBlockDecode is the qlog event cursor behind that reader.
+# FuzzPcapRead drives both capture readers and the DNS extractor (every
+# packet handed back must fit inside its input), FuzzZoneParse the
+# master-file parser (a zone that parses must compile and answer every
+# owner). The zone lookup target checks the compiled-index Lookup against
+# the map-walking reference on arbitrary (qname, qtype, DO); the
+# authserver target checks that a response-cache hit, a miss and a
+# cache-off engine answer arbitrary query bytes identically. The replay
+# target drives the pending table and a map model of it through random
+# send / answer / retry-deadline / take-back / close sequences and checks
+# after every step that each sent query is in exactly one place.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzMessageUnpack$$' -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run XXX -fuzz 'FuzzPackUnpackRoundTrip$$' -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run XXX -fuzz 'FuzzLookupDifferential$$' -fuzztime 5s ./internal/zone/
+	$(GO) test -run XXX -fuzz 'FuzzZoneParse$$' -fuzztime 5s ./internal/zone/
+	$(GO) test -run XXX -fuzz 'FuzzPcapRead$$' -fuzztime 5s ./internal/pcap/
 	$(GO) test -run XXX -fuzz 'FuzzRespondHitVsMiss$$' -fuzztime 5s ./internal/authserver/
 	$(GO) test -run XXX -fuzz 'FuzzBlockRoundTrip$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockDecode$$' -fuzztime 5s ./internal/trace/

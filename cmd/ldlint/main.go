@@ -1,12 +1,12 @@
-// Command ldlint runs the repository's static-analysis suite: five
-// analyzers (noalloc, determinism, poolput, msgimmutable, atomiccopy)
-// that enforce the performance and determinism contracts documented in
-// DESIGN.md, built entirely on the stdlib toolchain. It exits non-zero
-// when any contract is violated.
+// Command ldlint runs the repository's static-analysis suite: three
+// analyzers (noalloc, noallocprop, determinism) that enforce the
+// performance and determinism contracts documented in DESIGN.md, built
+// entirely on the stdlib toolchain. Every run runs all of them; it exits
+// non-zero when any contract is violated.
 //
 // Usage:
 //
-//	ldlint [-list] [-only a,b] [-disable a,b] [-C dir] [./...]
+//	ldlint [-list] [-C dir] [./...]
 package main
 
 import (

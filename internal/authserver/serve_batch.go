@@ -18,7 +18,7 @@ import (
 // and the respond stage touches no cross-shard mutable state. Off
 // linux/amd64|arm64 netio's portable fallback presents the same
 // Recv/Stage/SendStaged API as a batch of one datagram per system call,
-// so this loop — and the shardconfine/noallocprop guards on it — is what
+// so this loop — and the race and noallocprop guards on it — is what
 // runs on every platform.
 
 // DefaultUDPBatchSize is the default per-worker receive batch width.

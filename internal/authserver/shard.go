@@ -27,12 +27,11 @@ import (
 // or the borrower Engine.Respond's free-list lock handed it to. Stats
 // readers only touch the shard's atomic counters, never the cache map, so
 // Engine.Stats and obs scrapes stay race-free while the shard serves.
-// That contract is machine-checked: the directive below makes ldlint's
-// shardconfine analyzer flag any shard value escaping its owning
-// goroutine (channel sends, go-closure captures, package-level or
-// cross-shard stores).
-//
-//ldlint:confined
+// The race-detector suite (`make race`) is the check on that contract:
+// each way a shard can leak to a second goroutine (channel sends,
+// go-closure captures, spawn arguments, package-level or cross-shard
+// stores) races with its owner in the serving tests (DESIGN.md "Static
+// analysis" records the probe).
 type EngineShard struct {
 	e *Engine
 

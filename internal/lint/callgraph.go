@@ -4,41 +4,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 )
 
-// CallKind classifies one call-graph edge.
-type CallKind uint8
-
-const (
-	// KindCall is a direct static call: a plain function call, or a
-	// method call whose receiver has a concrete (non-interface) type.
-	KindCall CallKind = iota
-	// KindGo is a call that starts a new goroutine: the callee of a go
-	// statement, or a function value handed to vclock's Clock.Go (the
-	// sim-registered spawn primitive).
-	KindGo
-	// KindRef is a function value passed as an argument to a call site:
-	// the callee may invoke it, so propagation analyses treat the edge
-	// as a (possible) call.
-	KindRef
-)
-
-func (k CallKind) String() string {
-	switch k {
-	case KindGo:
-		return "go"
-	case KindRef:
-		return "ref"
-	}
-	return "call"
-}
-
-// CallEdge is one resolved call from Caller to Callee at Pos.
+// CallEdge is one resolved call to Callee at Pos. Go marks a call that
+// starts a new goroutine: the callee of a go statement, or a function
+// value handed to vclock's Clock.Go.
 type CallEdge struct {
-	Caller *FuncNode
 	Callee *FuncNode
 	Pos    token.Pos
-	Kind   CallKind
+	Go     bool
 }
 
 // FuncNode is one module-local function declaration in the call graph.
@@ -73,12 +48,11 @@ func (n *FuncNode) DisplayName() string {
 }
 
 // CallGraph is the module-wide static call graph: every function and
-// method declared in the module, with edges for direct calls, resolved
-// method calls, goroutine spawns, and function values passed to call
-// sites. Dynamic dispatch through interface methods and calls through
-// function-typed variables are not resolved (no points-to analysis);
-// the one deliberate exception documented per analyzer is that the
-// vclock.Clock boundary is treated as a safe sink, not a blind spot.
+// method declared in the module, with edges for direct calls, method
+// calls on concrete receivers, goroutine spawns, and function values
+// passed to call sites (the callee may invoke them). Dynamic dispatch
+// through interface methods and calls through function-typed variables
+// are not resolved: there is no points-to analysis.
 type CallGraph struct {
 	Nodes map[*types.Func]*FuncNode
 }
@@ -92,11 +66,11 @@ func (g *CallGraph) Node(obj *types.Func) *FuncNode {
 	return g.Nodes[obj.Origin()]
 }
 
-// buildCallGraph indexes every FuncDecl in the module and resolves the
-// static call edges out of each body.
-func buildCallGraph(m *Module) *CallGraph {
+// buildCallGraph indexes every FuncDecl in pkgs and resolves the static
+// call edges out of each body.
+func buildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{Nodes: make(map[*types.Func]*FuncNode)}
-	for _, pkg := range m.Packages {
+	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
@@ -110,18 +84,18 @@ func buildCallGraph(m *Module) *CallGraph {
 		}
 	}
 	for _, node := range g.Nodes {
-		collectEdges(m, g, node)
+		collectEdges(g, node)
 	}
 	return g
 }
 
 // collectEdges walks one declaration body and records its outgoing
 // edges.
-func collectEdges(m *Module, g *CallGraph, node *FuncNode) {
+func collectEdges(g *CallGraph, node *FuncNode) {
 	info := node.Pkg.Info
 
 	// goCalls marks the CallExpr of each go statement so the edge it
-	// resolves to is tagged KindGo.
+	// resolves to is a spawn.
 	goCalls := make(map[*ast.CallExpr]bool)
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		if gs, ok := n.(*ast.GoStmt); ok {
@@ -130,12 +104,10 @@ func collectEdges(m *Module, g *CallGraph, node *FuncNode) {
 		return true
 	})
 
-	addEdge := func(callee *types.Func, pos token.Pos, kind CallKind) {
-		target := g.Node(callee)
-		if target == nil {
-			return // stdlib or unresolved: construct checks cover what they can
+	addEdge := func(callee *types.Func, pos token.Pos, spawn bool) {
+		if target := g.Node(callee); target != nil { // nil: stdlib or unresolved
+			node.Out = append(node.Out, &CallEdge{Callee: target, Pos: pos, Go: spawn})
 		}
-		node.Out = append(node.Out, &CallEdge{Caller: node, Callee: target, Pos: pos, Kind: kind})
 	}
 
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
@@ -143,24 +115,16 @@ func collectEdges(m *Module, g *CallGraph, node *FuncNode) {
 		if !ok {
 			return true
 		}
-		kind := KindCall
-		if goCalls[call] {
-			kind = KindGo
-		}
 		if callee := staticCallee(info, call); callee != nil {
-			addEdge(callee, call.Pos(), kind)
+			addEdge(callee, call.Pos(), goCalls[call])
 		}
 		// Function values passed as arguments: the callee may invoke
-		// them, so record a KindRef edge from this caller — or KindGo
-		// when the call site is a goroutine-spawning primitive
-		// (vclock's Clock.Go).
-		argKind := KindRef
-		if isGoroutineSpawner(info, call) {
-			argKind = KindGo
-		}
+		// them — on a new goroutine when the call site is vclock's
+		// Clock.Go.
+		spawn := isGoroutineSpawner(info, call)
 		for _, arg := range call.Args {
 			if fv := funcValue(info, arg); fv != nil {
-				addEdge(fv, arg.Pos(), argKind)
+				addEdge(fv, arg.Pos(), spawn)
 			}
 		}
 		return true
@@ -234,26 +198,13 @@ func isGoroutineSpawner(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	fn, ok := selection.Obj().(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return pathBase(fn.Pkg().Path()) == "vclock"
+	return ok && fn.Pkg() != nil && path.Base(fn.Pkg().Path()) == "vclock"
 }
 
-// pathBase returns the last element of an import path.
-func pathBase(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
-}
-
-// Reach walks the graph from root over edges whose kind passes the
-// follow filter, invoking visit once per reached node (root excluded)
-// with the edge path from root to it. visit returning false stops
-// descent below that node (its own subtree is someone else's contract).
+// Reach walks the graph from root over edges the follow filter accepts,
+// invoking visit once per reached node (root excluded) with the edge
+// path from root to it. visit returning false stops descent below that
+// node (its own subtree is someone else's contract).
 func (g *CallGraph) Reach(root *FuncNode, follow func(*CallEdge) bool, visit func(node *FuncNode, path []*CallEdge) bool) {
 	seen := map[*FuncNode]bool{root: true}
 	// Breadth-first so the recorded path to each node is the shortest
@@ -272,9 +223,9 @@ func (g *CallGraph) Reach(root *FuncNode, follow func(*CallEdge) bool, visit fun
 				continue
 			}
 			seen[e.Callee] = true
-			path := append(append([]*CallEdge(nil), it.path...), e)
-			if visit(e.Callee, path) {
-				queue = append(queue, item{node: e.Callee, path: path})
+			edges := append(append([]*CallEdge(nil), it.path...), e)
+			if visit(e.Callee, edges) {
+				queue = append(queue, item{node: e.Callee, path: edges})
 			}
 		}
 	}
@@ -282,9 +233,9 @@ func (g *CallGraph) Reach(root *FuncNode, follow func(*CallEdge) bool, visit fun
 
 // PathString renders a call path for a diagnostic message:
 // "root -> a -> b".
-func PathString(root *FuncNode, path []*CallEdge) string {
+func PathString(root *FuncNode, edges []*CallEdge) string {
 	s := root.DisplayName()
-	for _, e := range path {
+	for _, e := range edges {
 		s += " -> " + e.Callee.DisplayName()
 	}
 	return s

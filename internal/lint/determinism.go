@@ -32,12 +32,11 @@ import (
 //
 // Scope: packages under ldplayer/internal/netsim, any package with a
 // //ldlint:deterministic directive comment, and individual functions
-// carrying the directive in their doc comment (the function-level form
-// also roots the interprocedural determreach analyzer).
+// carrying the directive in their doc comment.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid wall-clock reads and timers, global math/rand, and map iteration in seeded-fault-model packages",
-	Run:  runDeterminism,
+	Run:  perPackage(runDeterminism),
 }
 
 // deterministicScopePrefix hardcodes the fault-model packages so the
@@ -52,8 +51,7 @@ var randConstructors = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
-	inScope := pass.Path == deterministicScopePrefix ||
-		strings.HasPrefix(pass.Path, deterministicScopePrefix+"/")
+	inScope := inDeterministicScope(pass.Path)
 	if !inScope {
 		for _, f := range pass.Files {
 			if fileHasDirective(f, directiveDeterministic) {
@@ -77,9 +75,7 @@ func runDeterminism(pass *Pass) {
 }
 
 // checkDeterminismNode applies the determinism construct rules to every
-// node under root. Shared by the per-package analyzer (whole files or
-// opted-in function bodies) and the interprocedural determreach
-// analyzer (bodies of functions reached from deterministic scope).
+// node under root: a whole file, or an opted-in function body.
 func checkDeterminismNode(pass *Pass, root ast.Node) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {

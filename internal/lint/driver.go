@@ -6,129 +6,14 @@ import (
 	"go/token"
 	"io"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
-// Options configures a driver run.
-type Options struct {
-	// Root is the directory to lint (the module is found from here).
-	Root string
-	// Only restricts the run to the named analyzers (nil = all). Naming
-	// a module analyzer (or escapecheck) enables it even without
-	// Interproc/Escape.
-	Only []string
-	// Disable removes the named analyzers from the run.
-	Disable []string
-	// Interproc enables the interprocedural module analyzers
-	// (noallocprop, determreach, shardconfine) on top of the
-	// per-package suite.
-	Interproc bool
-	// Escape enables the escapecheck build-mode pass: the compiler's
-	// escape verdicts diffed against the //ldlint:noalloc set.
-	Escape bool
-}
-
-// SelectAnalyzers resolves Only/Disable against the per-package suite.
-func (o Options) SelectAnalyzers() ([]*Analyzer, error) {
-	if err := o.validateNames(); err != nil {
-		return nil, err
-	}
-	selected := All
-	if len(o.Only) > 0 {
-		selected = nil
-		for _, name := range o.Only {
-			if a := ByName(name); a != nil {
-				selected = append(selected, a)
-			}
-		}
-	}
-	return dropDisabled(selected, o.Disable, func(a *Analyzer) string { return a.Name }), nil
-}
-
-// SelectModuleAnalyzers resolves Only/Disable/Interproc against the
-// module suite: -interproc enables all of it, and naming a module
-// analyzer in -only selects it regardless.
-func (o Options) SelectModuleAnalyzers() ([]*ModuleAnalyzer, error) {
-	if err := o.validateNames(); err != nil {
-		return nil, err
-	}
-	var selected []*ModuleAnalyzer
-	switch {
-	case len(o.Only) > 0:
-		for _, name := range o.Only {
-			if a := ModuleByName(name); a != nil {
-				selected = append(selected, a)
-			}
-		}
-	case o.Interproc:
-		selected = ModuleAll
-	}
-	return dropDisabled(selected, o.Disable, func(a *ModuleAnalyzer) string { return a.Name }), nil
-}
-
-// escapeEnabled resolves whether the escapecheck pass runs: the Escape
-// flag or an explicit -only escapecheck, minus -disable.
-func (o Options) escapeEnabled() bool {
-	for _, name := range o.Disable {
-		if name == EscapeCheckName {
-			return false
-		}
-	}
-	for _, name := range o.Only {
-		if name == EscapeCheckName {
-			return true
-		}
-	}
-	return o.Escape && len(o.Only) == 0
-}
-
-func (o Options) validateNames() error {
-	for _, name := range append(append([]string(nil), o.Only...), o.Disable...) {
-		if !KnownAnalyzerName(name) {
-			return fmt.Errorf("ldlint: unknown analyzer %q", name)
-		}
-	}
-	return nil
-}
-
-func dropDisabled[T any](selected []T, disable []string, name func(T) string) []T {
-	if len(disable) == 0 {
-		return selected
-	}
-	drop := make(map[string]bool, len(disable))
-	for _, n := range disable {
-		drop[n] = true
-	}
-	kept := make([]T, 0, len(selected))
-	for _, a := range selected {
-		if !drop[name(a)] {
-			kept = append(kept, a)
-		}
-	}
-	return kept
-}
-
-// Run lints every package under opts.Root with the selected analyzers
-// and returns all surviving diagnostics, grouped by package and sorted
-// by position. Packages that fail to load are reported as diagnostics
-// under the "ldlint" name rather than aborting the run.
-//
-// Phases: load everything, run the per-package suite, then (when
-// enabled) the interprocedural module analyzers over the loaded
-// universe and the escapecheck build pass, and only then apply
-// suppressions — module diagnostics honor the same line-level ignores —
-// and report the suppressions left unused by the analyzers that ran.
-func Run(opts Options) ([]Diagnostic, error) {
-	analyzers, err := opts.SelectAnalyzers()
-	if err != nil {
-		return nil, err
-	}
-	modAnalyzers, err := opts.SelectModuleAnalyzers()
-	if err != nil {
-		return nil, err
-	}
-	loader, err := NewLoader(opts.Root)
+// Run lints every package of the module containing root with every
+// analyzer and returns the surviving diagnostics sorted by position.
+// Packages that fail to load are reported as diagnostics under the
+// "ldlint" name rather than aborting the run.
+func Run(root string) ([]Diagnostic, error) {
+	loader, err := NewLoader(root)
 	if err != nil {
 		return nil, err
 	}
@@ -138,46 +23,18 @@ func Run(opts Options) ([]Diagnostic, error) {
 	}
 	var (
 		diags []Diagnostic
-		sups  []*suppression
 		pkgs  []*Package
-		ran   = make(map[string]bool)
 	)
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
 			diags = append(diags, Diagnostic{Analyzer: "ldlint",
-				Pos: position(dir), Message: err.Error()})
+				Pos: token.Position{Filename: filepath.Join(dir, "(package)")}, Message: err.Error()})
 			continue
 		}
 		pkgs = append(pkgs, pkg)
-		sups = append(sups, collectSuppressions(pkg.Fset, pkg.Files, &diags)...)
-		runIntra(pkg, analyzers, &diags)
 	}
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	if len(modAnalyzers) > 0 {
-		mod := NewModule(loader.Fset, loader.ModulePath, pkgs)
-		mod.RunModule(modAnalyzers, sups, &diags)
-		for _, a := range modAnalyzers {
-			ran[a.Name] = true
-		}
-	}
-	if opts.escapeEnabled() {
-		if err := runEscapeCheck(loader.ModuleDir, pkgs, &diags); err != nil {
-			return nil, err
-		}
-		ran[EscapeCheckName] = true
-	}
-	diags = applySuppressions(diags, sups)
-	diags = append(diags, unusedSuppressions(sups, ran)...)
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
-// position fabricates a file position for package-level load errors.
-func position(dir string) token.Position {
-	return token.Position{Filename: filepath.Join(dir, "(package)")}
+	return analyze(NewModule(loader.Fset, pkgs), diags), nil
 }
 
 // Print writes diagnostics grouped by package directory.
@@ -202,37 +59,25 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ldlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list      = fs.Bool("list", false, "list analyzers and exit")
-		only      = fs.String("only", "", "comma-separated analyzers to run (default: all)")
-		disable   = fs.String("disable", "", "comma-separated analyzers to skip")
-		root      = fs.String("C", ".", "directory to lint (module root is located from here)")
-		interproc = fs.Bool("interproc", false, "also run the interprocedural call-graph analyzers (noallocprop, determreach, shardconfine)")
-		escape    = fs.Bool("escapecheck", false, "also diff the compiler's escape verdicts (go build -gcflags='-m -m') against the //ldlint:noalloc set")
+		list = fs.Bool("list", false, "list analyzers and exit")
+		root = fs.String("C", ".", "directory to lint (module root is located from here)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, `usage: ldlint [flags] [./...]
+		fmt.Fprintf(stderr, `usage: ldlint [-list] [-C dir] [./...]
 
 ldlint statically enforces this repository's performance and
-determinism contracts over every package in the module. It exits
-non-zero when any contract is violated.
+determinism contracts over every package in the module, with every
+analyzer. It exits non-zero when any contract is violated.
 
 Suppress a finding with an explicit reason on the same line or the
-line above:
+line above — or, for noallocprop, on a call site to cut propagation
+at a deliberate boundary:
 
 	//ldlint:ignore <analyzer> <reason>
 
 Mark a function as a zero-allocation hot path with //ldlint:noalloc
 in its doc comment; opt a package (or a single function) into the
-determinism contract with //ldlint:deterministic; mark a
-single-goroutine-owned type with //ldlint:confined.
-
-With -interproc the per-package suite is joined by call-graph
-analyzers that propagate those contracts across function boundaries
-and report violations with the full call path from the contract root.
-With -escapecheck the compiler's own escape analysis is diffed
-against the //ldlint:noalloc set, catching allocations the AST rules
-cannot see (inlining changes, boxing introduced by a toolchain
-upgrade).
+determinism contract with //ldlint:deterministic.
 
 Flags:
 `)
@@ -256,14 +101,7 @@ Flags:
 			return 2
 		}
 	}
-	opts := Options{Root: *root, Interproc: *interproc, Escape: *escape}
-	if *only != "" {
-		opts.Only = splitList(*only)
-	}
-	if *disable != "" {
-		opts.Disable = splitList(*disable)
-	}
-	diags, err := Run(opts)
+	diags, err := Run(*root)
 	if err != nil {
 		fmt.Fprintf(stderr, "ldlint: %v\n", err)
 		return 2
@@ -276,30 +114,7 @@ Flags:
 }
 
 func writeAnalyzerList(w io.Writer) {
-	docs := make(map[string]string, len(All)+len(ModuleAll)+1)
 	for _, a := range All {
-		docs[a.Name] = a.Doc
+		fmt.Fprintf(w, "  %-12s %s\n", a.Name, a.Doc)
 	}
-	for _, a := range ModuleAll {
-		docs[a.Name] = a.Doc + " [-interproc]"
-	}
-	docs[EscapeCheckName] = EscapeCheckDoc + " [-escapecheck]"
-	names := make([]string, 0, len(docs))
-	for name := range docs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "  %-13s %s\n", name, docs[name])
-	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

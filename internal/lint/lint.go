@@ -1,31 +1,27 @@
-// Package lint is ldlint's analyzer framework: a multi-pass static
-// analyzer built entirely on the stdlib toolchain (go/parser, go/ast,
-// go/types with the source importer — no x/tools dependency), encoding
-// the performance and determinism contracts the rest of this repository
-// states in prose.
+// Package lint is ldlint's analyzer framework: a static analyzer built
+// entirely on the stdlib toolchain (go/parser, go/ast, go/types with the
+// source importer — no x/tools dependency), encoding the performance and
+// determinism contracts the rest of this repository states in prose.
 //
-// Dynamic guards (AllocsPerRun regression tests, seeded chaos
-// scenarios) only catch a contract violation on the exact path a test
-// exercises; the analyzers here check every function on every build.
-// The contracts enforced:
+// It keeps only the checks no other gate makes. go vet, the
+// AllocsPerRun guards, the race detector and the seeded simulation tests
+// each see the paths they run; the analyzers here see every function on
+// every build. The contracts enforced:
 //
 //   - noalloc: functions annotated //ldlint:noalloc must not contain
 //     allocation-prone constructs (fmt/errors.New calls, string
 //     concatenation, map/slice literals, make/new, mismatched append,
 //     interface-boxing conversions, closures capturing mutated
-//     variables).
-//   - determinism: seeded-impairment code (internal/netsim and
-//     packages carrying a //ldlint:deterministic directive) must not
-//     read the wall clock, use the global math/rand PRNG, or iterate
-//     maps (nondeterministic order).
-//   - poolput: sync.Pool.Put of a slice or other non-pointer value
-//     boxes it into an interface, allocating on every Put.
-//   - msgimmutable: trace.Entry.Message buffers are immutable once an
-//     entry is produced; no element writes, copy-overs, or appends
-//     through the field or an alias of it.
-//   - atomiccopy: by-value copies of structs containing sync or
-//     sync/atomic fields (params, range copies, assignments, interface
-//     boxing) beyond what go vet's copylocks reports.
+//     variables, the address of a local leaving the call).
+//   - noallocprop: neither may anything they call, reported with the
+//     call path from the annotated root.
+//   - determinism: seeded-impairment code (internal/netsim and packages
+//     carrying a //ldlint:deterministic directive) must not read the
+//     wall clock, schedule on it, use the global math/rand PRNG, or
+//     iterate maps (nondeterministic order).
+//
+// DESIGN.md "Static analysis" records, analyzer by analyzer, what each
+// one catches that no other gate does.
 //
 // A diagnostic may be silenced with an explicit, reasoned suppression
 // on the same line or the line above:
@@ -45,28 +41,37 @@ import (
 	"strings"
 )
 
-// Analyzer is one named check over a typechecked package.
+// Analyzer is one named check over the loaded module.
 type Analyzer struct {
-	// Name is the identifier used by -only/-disable flags and in
-	// //ldlint:ignore suppressions.
+	// Name is the identifier //ldlint:ignore suppressions name.
 	Name string
 	// Doc is a one-line description shown by ldlint -list.
 	Doc string
-	// Run inspects the package and reports diagnostics via pass.Reportf.
-	Run func(*Pass)
+	// Run inspects the module and reports diagnostics via Reportf.
+	Run func(*ModulePass)
 }
 
-// All lists every analyzer in the suite, in the order they run.
-var All = []*Analyzer{NoAlloc, Determinism, PoolPut, MsgImmutable, AtomicCopy}
+// All lists every analyzer, in the order they run. Every run runs all
+// of them.
+var All = []*Analyzer{NoAlloc, NoAllocProp, Determinism}
 
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
+// known reports whether name identifies an analyzer.
+func known(name string) bool {
 	for _, a := range All {
 		if a.Name == name {
-			return a
+			return true
 		}
 	}
-	return nil
+	return false
+}
+
+// perPackage adapts a check written against one package at a time.
+func perPackage(run func(*Pass)) func(*ModulePass) {
+	return func(p *ModulePass) {
+		for _, pkg := range p.Module.Packages {
+			run(p.subPass(pkg, p.out))
+		}
+	}
 }
 
 // Diagnostic is one finding, anchored to a file:line:col position.
@@ -85,7 +90,6 @@ type Pass struct {
 	Fset  *token.FileSet
 	Path  string // import path
 	Files []*ast.File
-	Pkg   *types.Package
 	Info  *types.Info
 
 	analyzer string
@@ -94,19 +98,22 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.out = append(*p.out, Diagnostic{
-		Analyzer: p.analyzer,
-		Pos:      p.Fset.Position(pos),
+	reportf(p.Fset, p.out, p.analyzer, pos, format, args...)
+}
+
+// reportf is the shared diagnostic constructor for Pass and ModulePass.
+func reportf(fset *token.FileSet, out *[]Diagnostic, analyzer string, pos token.Pos, format string, args ...any) {
+	*out = append(*out, Diagnostic{
+		Analyzer: analyzer,
+		Pos:      fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
 // Directive prefixes recognized in comments.
 const (
-	directiveIgnore        = "ldlint:ignore"
 	directiveNoAlloc       = "ldlint:noalloc"
 	directiveDeterministic = "ldlint:deterministic"
-	directiveConfined      = "ldlint:confined"
 )
 
 // directiveText extracts the directive body from a comment line: for
@@ -114,11 +121,7 @@ const (
 // true. Directives must start immediately after "//" (no space), the
 // convention Go tooling uses to distinguish directives from prose.
 func directiveText(c *ast.Comment) (string, bool) {
-	text := c.Text
-	if !strings.HasPrefix(text, "//ldlint:") {
-		return "", false
-	}
-	return strings.TrimPrefix(text, "//ldlint:"), true
+	return strings.CutPrefix(c.Text, "//ldlint:")
 }
 
 // hasDirective reports whether the comment group contains the given
@@ -147,9 +150,6 @@ func hasDirective(g *ast.CommentGroup, directive string) bool {
 // a function-level form of the same directive opts in only that
 // function, not the file around it.
 func fileHasDirective(f *ast.File, directive string) bool {
-	if f == nil {
-		return false
-	}
 	funcDocs := make(map[*ast.CommentGroup]bool)
 	for _, d := range f.Decls {
 		if fn, ok := d.(*ast.FuncDecl); ok && fn.Doc != nil {
@@ -157,10 +157,7 @@ func fileHasDirective(f *ast.File, directive string) bool {
 		}
 	}
 	for _, g := range f.Comments {
-		if funcDocs[g] {
-			continue
-		}
-		if hasDirective(g, directive) {
+		if !funcDocs[g] && hasDirective(g, directive) {
 			return true
 		}
 	}
@@ -170,7 +167,6 @@ func fileHasDirective(f *ast.File, directive string) bool {
 // suppression is one parsed //ldlint:ignore comment.
 type suppression struct {
 	analyzer string
-	reason   string
 	pos      token.Position
 	used     bool
 }
@@ -179,9 +175,6 @@ type suppression struct {
 // package. Malformed suppressions (no analyzer, unknown analyzer, or a
 // missing reason) are reported as diagnostics under the "ldlint" name:
 // an exemption that does not say why it is safe is not an exemption.
-// Names are validated against the full suite — per-package, module,
-// and escapecheck — regardless of which subset this run enables, so a
-// run under -only never misreports a valid suppression as unknown.
 func collectSuppressions(fset *token.FileSet, files []*ast.File, out *[]Diagnostic) []*suppression {
 	var sups []*suppression
 	for _, f := range files {
@@ -197,22 +190,19 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File, out *[]Diagnost
 				}
 				pos := fset.Position(c.Pos())
 				name, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
-				if name == "" {
+				switch {
+				case name == "":
 					*out = append(*out, Diagnostic{Analyzer: "ldlint", Pos: pos,
 						Message: "ldlint:ignore needs an analyzer name and a reason"})
-					continue
-				}
-				if !KnownAnalyzerName(name) {
+				case !known(name):
 					*out = append(*out, Diagnostic{Analyzer: "ldlint", Pos: pos,
 						Message: fmt.Sprintf("ldlint:ignore of unknown analyzer %q", name)})
-					continue
-				}
-				if strings.TrimSpace(reason) == "" {
+				case strings.TrimSpace(reason) == "":
 					*out = append(*out, Diagnostic{Analyzer: "ldlint", Pos: pos,
 						Message: fmt.Sprintf("ldlint:ignore %s needs a reason", name)})
-					continue
+				default:
+					sups = append(sups, &suppression{analyzer: name, pos: pos})
 				}
-				sups = append(sups, &suppression{analyzer: name, reason: reason, pos: pos})
 			}
 		}
 	}
@@ -232,9 +222,6 @@ type supKey struct {
 type supIndex map[supKey]*suppression
 
 func buildSupIndex(sups []*suppression) supIndex {
-	if len(sups) == 0 {
-		return nil
-	}
 	idx := make(supIndex, 2*len(sups))
 	for _, s := range sups {
 		idx[supKey{s.pos.Filename, s.pos.Line, s.analyzer}] = s
@@ -243,110 +230,38 @@ func buildSupIndex(sups []*suppression) supIndex {
 	return idx
 }
 
-// applySuppressions filters diags: a suppression on line L of a file
-// silences that analyzer's diagnostics on line L (trailing comment) and
-// line L+1 (comment above the flagged statement). escapecheck
-// diagnostics additionally honor noalloc suppressions on their line —
-// the two passes enforce one contract, and a deliberate-allocation site
-// should not have to state the same reason twice.
-func applySuppressions(diags []Diagnostic, sups []*suppression) []Diagnostic {
-	byKey := buildSupIndex(sups)
-	if byKey == nil {
-		return diags
+// analyze runs every analyzer over m and returns the diagnostics that
+// survive suppression, sorted by position, plus one for every
+// suppression that silenced nothing: a stale exemption is a contract
+// hole waiting to reopen, and the inventory of ignores only stays honest
+// if rot is a diagnostic too.
+func analyze(m *Module, diags []Diagnostic) []Diagnostic {
+	var sups []*suppression
+	for _, pkg := range m.Packages {
+		sups = append(sups, collectSuppressions(pkg.Fset, pkg.Files, &diags)...)
 	}
-	lookup := func(d Diagnostic) *suppression {
-		if s, ok := byKey[supKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}]; ok {
-			return s
-		}
-		if d.Analyzer == EscapeCheckName {
-			if s, ok := byKey[supKey{d.Pos.Filename, d.Pos.Line, NoAlloc.Name}]; ok {
-				return s
-			}
-		}
-		return nil
+	idx := buildSupIndex(sups)
+	pass := &ModulePass{Module: m, sups: idx, out: &diags}
+	for _, a := range All {
+		pass.analyzer = a.Name
+		a.Run(pass)
 	}
 	kept := diags[:0]
 	for _, d := range diags {
-		if s := lookup(d); s != nil {
+		if s := idx[supKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}]; s != nil {
 			s.used = true
 			continue
 		}
 		kept = append(kept, d)
 	}
-	return kept
-}
-
-// unusedSuppressions reports every well-formed //ldlint:ignore whose
-// analyzer ran in this invocation but silenced nothing: a stale
-// exemption is a contract hole waiting to reopen, and the inventory of
-// ignores only stays honest if rot is a diagnostic too. Suppressions
-// for analyzers that did not run (an -only subset, or an interproc
-// ignore under a plain per-package run) are left alone.
-func unusedSuppressions(sups []*suppression, ran map[string]bool) []Diagnostic {
-	var out []Diagnostic
 	for _, s := range sups {
-		if s.used || !ran[s.analyzer] {
-			continue
-		}
-		out = append(out, Diagnostic{Analyzer: "ldlint", Pos: s.pos,
-			Message: fmt.Sprintf("unused ldlint:ignore %s: no %s diagnostic fires here; delete the stale suppression", s.analyzer, s.analyzer)})
-	}
-	return out
-}
-
-// RunPackage runs the given analyzers over one loaded package and
-// returns its surviving diagnostics sorted by position, including
-// unused-suppression findings for the analyzers that ran. The module
-// analyzers can be layered on via RunPackageInterproc, which treats the
-// single package as a one-package module.
-func RunPackage(p *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunPackageInterproc(p, analyzers, nil)
-}
-
-// RunPackageInterproc runs per-package and module analyzers over one
-// package as a self-contained universe — the shape the golden fixture
-// tests use, where each fixture directory exercises one analyzer's
-// rules including the interprocedural ones.
-func RunPackageInterproc(p *Package, analyzers []*Analyzer, modAnalyzers []*ModuleAnalyzer) []Diagnostic {
-	var diags []Diagnostic
-	sups := collectSuppressions(p.Fset, p.Files, &diags)
-	runIntra(p, analyzers, &diags)
-	ran := make(map[string]bool, len(analyzers)+len(modAnalyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	if len(modAnalyzers) > 0 {
-		mod := NewModule(p.Fset, p.Path, []*Package{p})
-		mod.RunModule(modAnalyzers, sups, &diags)
-		for _, a := range modAnalyzers {
-			ran[a.Name] = true
+		if !s.used {
+			kept = append(kept, Diagnostic{Analyzer: "ldlint", Pos: s.pos,
+				Message: fmt.Sprintf("unused ldlint:ignore %s: no %s diagnostic fires here; delete the stale suppression", s.analyzer, s.analyzer)})
 		}
 	}
-	diags = applySuppressions(diags, sups)
-	diags = append(diags, unusedSuppressions(sups, ran)...)
-	sortDiagnostics(diags)
-	return diags
-}
-
-// runIntra applies the per-package analyzers to one package.
-func runIntra(p *Package, analyzers []*Analyzer, out *[]Diagnostic) {
-	pass := &Pass{
-		Fset:  p.Fset,
-		Path:  p.Path,
-		Files: p.Files,
-		Pkg:   p.Types,
-		Info:  p.Info,
-		out:   out,
-	}
-	for _, a := range analyzers {
-		pass.analyzer = a.Name
-		a.Run(pass)
-	}
-}
-
-func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
+	sort.Slice(kept, func(i, j int) bool {
+		a, b := kept[i], kept[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -358,4 +273,11 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return kept
+}
+
+// RunPackage runs every analyzer over one loaded package as a
+// self-contained module — the shape the golden fixture tests use.
+func RunPackage(p *Package) []Diagnostic {
+	return analyze(NewModule(p.Fset, []*Package{p}), nil)
 }

@@ -46,10 +46,9 @@ func parseWantMarkers(pkg *Package) []*wantMarker {
 	return markers
 }
 
-// TestGoldenFixtures runs all analyzers — per-package and
-// interprocedural — over each fixture package under testdata/src and
-// asserts the diagnostics line-by-line against the fixtures' "want"
-// markers, in both directions.
+// TestGoldenFixtures runs every analyzer over each fixture package
+// under testdata/src and asserts the diagnostics line-by-line against
+// the fixtures' "want" markers, in both directions.
 func TestGoldenFixtures(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -59,8 +58,8 @@ func TestGoldenFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}
-	if len(entries) < len(All)+len(ModuleAll) {
-		t.Fatalf("found %d fixture packages, want at least %d (one per analyzer)", len(entries), len(All)+len(ModuleAll))
+	if len(entries) < len(All) {
+		t.Fatalf("found %d fixture packages, want at least %d (one per analyzer)", len(entries), len(All))
 	}
 	for _, e := range entries {
 		if !e.IsDir() {
@@ -75,8 +74,7 @@ func TestGoldenFixtures(t *testing.T) {
 			if len(markers) == 0 {
 				t.Fatalf("fixture %s has no want markers", e.Name())
 			}
-			diags := RunPackageInterproc(pkg, All, ModuleAll)
-			for _, d := range diags {
+			for _, d := range RunPackage(pkg) {
 				if !claimMarker(markers, d) {
 					t.Errorf("unexpected diagnostic: %s", d)
 				}
@@ -108,35 +106,27 @@ func claimMarker(markers []*wantMarker, d Diagnostic) bool {
 	return false
 }
 
-// TestFixtureCoverage asserts that every analyzer — per-package and
-// interprocedural — has at least one golden fixture exercising it,
-// keyed by directory name.
+// TestFixtureCoverage asserts that every analyzer has a golden fixture
+// exercising it, keyed by directory name.
 func TestFixtureCoverage(t *testing.T) {
-	names := make([]string, 0, len(All)+len(ModuleAll))
 	for _, a := range All {
-		names = append(names, a.Name)
-	}
-	for _, a := range ModuleAll {
-		names = append(names, a.Name)
-	}
-	for _, name := range names {
-		dir := filepath.Join("testdata", "src", name)
-		if _, err := os.Stat(filepath.Join(dir, name+".go")); err != nil {
-			t.Errorf("analyzer %s has no fixture package: %v", name, err)
+		dir := filepath.Join("testdata", "src", a.Name)
+		if _, err := os.Stat(filepath.Join(dir, a.Name+".go")); err != nil {
+			t.Errorf("analyzer %s has no fixture package: %v", a.Name, err)
 		}
 	}
 }
 
-// TestRepoLintClean asserts the repository itself is lint-clean with
-// the full suite — per-package, interprocedural, and the compiler
-// escape cross-check: every surviving construct is either
-// contract-conformant or carries a reasoned //ldlint:ignore, and no
-// suppression is stale.
+// TestRepoLintClean asserts the repository itself is lint-clean: every
+// surviving construct is either contract-conformant or carries a
+// reasoned //ldlint:ignore, and no suppression is stale. `make test`
+// runs it, so it is the gate; `make lint` is the same check from the
+// command line.
 func TestRepoLintClean(t *testing.T) {
 	if raceEnabled {
-		t.Skip("whole-repo typecheck is CPU-heavy under race instrumentation; the non-race `make lint` step of the same gate covers it")
+		t.Skip("whole-repo typecheck is CPU-heavy under race instrumentation; the non-race run of this test covers it")
 	}
-	diags, err := Run(Options{Root: ".", Interproc: true, Escape: true})
+	diags, err := Run(".")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -149,44 +139,11 @@ func TestRepoLintClean(t *testing.T) {
 // mini-module and asserts the non-zero exit, the grouped output, and
 // the malformed-suppression hygiene diagnostics.
 func TestMainSeededViolations(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := Main([]string{"-C", filepath.Join("testdata", "seeded"), "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-	out := stdout.String()
+	out := runSeeded(t)
 	for _, want := range []string{
 		"fmt.Sprint allocates",
 		"needs a reason",
 		`unknown analyzer "nosuchanalyzer"`,
-		"ldlint: 3 issue(s)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q; got:\n%s", want, out)
-		}
-	}
-	// The stale noallocprop suppression in the seeded module must NOT be
-	// reported here: unused-suppression findings are gated on the named
-	// analyzer actually running, and this run is not interprocedural.
-	if strings.Contains(out, "unused ldlint:ignore") {
-		t.Errorf("unused-suppression finding leaked into a non-interproc run:\n%s", out)
-	}
-}
-
-// TestMainInterprocSeeded runs the CLI with -interproc over the seeded
-// module and pins the multi-frame call-path message format, the
-// unused-suppression finding for the stale interproc ignore, and the
-// total count.
-func TestMainInterprocSeeded(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := Main([]string{"-interproc", "-C", filepath.Join("testdata", "seeded"), "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{
-		"(on //ldlint:noalloc path seeded.entry -> seeded.mid -> seeded.deep)",
-		"unused ldlint:ignore noallocprop",
 		"ldlint: 5 issue(s)",
 	} {
 		if !strings.Contains(out, want) {
@@ -195,45 +152,30 @@ func TestMainInterprocSeeded(t *testing.T) {
 	}
 }
 
-// TestEscapeCheck runs the escapecheck pass over its seeded mini-module
-// and asserts the compiler's heap-move verdict is reported inside the
-// annotated function, stays silent for the clean function, and honors
-// the line-level suppression.
-func TestEscapeCheck(t *testing.T) {
-	diags, err := Run(Options{Root: filepath.Join("testdata", "escape"), Escape: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var boxed bool
-	for _, d := range diags {
-		switch {
-		case d.Analyzer == EscapeCheckName && strings.Contains(d.Message, "in //ldlint:noalloc function Boxed"):
-			boxed = true
-		default:
-			t.Errorf("unexpected diagnostic: %s", d)
+// TestMainInterprocSeeded pins, on the same seeded module, the
+// multi-frame call-path message of the interprocedural analyzer and the
+// unused-suppression finding for its stale ignore.
+func TestMainInterprocSeeded(t *testing.T) {
+	out := runSeeded(t)
+	for _, want := range []string{
+		"(on //ldlint:noalloc path seeded.entry -> seeded.mid -> seeded.deep)",
+		"unused ldlint:ignore noallocprop",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q; got:\n%s", want, out)
 		}
-	}
-	if !boxed {
-		t.Errorf("escapecheck missed the heap move in Boxed; got %d diagnostics", len(diags))
 	}
 }
 
-// TestMainOnlyFilter asserts -only narrows the analyzer set: with only
-// poolput enabled the seeded noalloc violation is not reported, but the
-// always-on suppression hygiene checks still are.
-func TestMainOnlyFilter(t *testing.T) {
+// runSeeded runs ldlint over testdata/seeded, which must fail.
+func runSeeded(t *testing.T) string {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := Main([]string{"-only", "poolput", "-C", filepath.Join("testdata", "seeded"), "./..."}, &stdout, &stderr)
+	code := Main([]string{"-C", filepath.Join("testdata", "seeded"), "./..."}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
 	}
-	out := stdout.String()
-	if strings.Contains(out, "fmt.Sprint") {
-		t.Errorf("-only poolput still reported a noalloc diagnostic:\n%s", out)
-	}
-	if !strings.Contains(out, "needs a reason") {
-		t.Errorf("suppression hygiene should stay on under -only; got:\n%s", out)
-	}
+	return stdout.String()
 }
 
 func TestMainList(t *testing.T) {
@@ -251,25 +193,12 @@ func TestMainList(t *testing.T) {
 
 func TestMainBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := Main([]string{"-only", "nope", "./..."}, &stdout, &stderr); code != 2 {
-		t.Errorf("unknown -only analyzer: exit code = %d, want 2", code)
+	if code := Main([]string{"-nosuchflag", "./..."}, &stdout, &stderr); code != 2 {
+		t.Errorf("unknown flag: exit code = %d, want 2", code)
 	}
 	stderr.Reset()
 	if code := Main([]string{"some/pattern"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unsupported pattern: exit code = %d, want 2", code)
-	}
-}
-
-func TestSelectAnalyzers(t *testing.T) {
-	as, err := Options{Only: []string{"noalloc", "poolput"}, Disable: []string{"poolput"}}.SelectAnalyzers()
-	if err != nil {
-		t.Fatalf("SelectAnalyzers: %v", err)
-	}
-	if len(as) != 1 || as[0].Name != "noalloc" {
-		t.Fatalf("got %d analyzers, want exactly [noalloc]", len(as))
-	}
-	if _, err := (Options{Disable: []string{"bogus"}}).SelectAnalyzers(); err == nil {
-		t.Error("disabling an unknown analyzer should error")
 	}
 }
 
@@ -286,7 +215,7 @@ func TestSuppressionScope(t *testing.T) {
 		t.Fatalf("LoadDir: %v", err)
 	}
 	// Dropping the suppressions must surface strictly more diagnostics.
-	full := RunPackage(pkg, All)
+	full := RunPackage(pkg)
 	var fns []*ast.FuncDecl
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {

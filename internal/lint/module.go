@@ -1,68 +1,25 @@
 package lint
 
-import (
-	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-)
+import "go/token"
 
 // Module is every package of the repository loaded into one analysis
-// universe, plus the interprocedural indexes the module analyzers
-// share: the function-declaration index, the call graph, and the
-// //ldlint:confined type registry. Where a *Pass sees one package, a
-// *ModulePass sees the whole program — which is what the propagation
-// analyzers need, because the contracts they check (a noalloc root
-// staying alloc-clean, a sim scope staying wall-clock-free, a shard
-// staying on its goroutine) are properties of call *paths*, and call
+// universe, plus the call graph the propagation analyzer walks. Where a
+// *Pass sees one package, a *ModulePass sees the whole program — which
+// is what noallocprop needs, because the contract it checks (a noalloc
+// root staying alloc-clean) is a property of call *paths*, and call
 // paths do not respect package boundaries.
 type Module struct {
-	Fset       *token.FileSet
-	Path       string // module path from go.mod
-	Packages   []*Package
-	Graph      *CallGraph
-	ConfinedTy map[*types.TypeName]token.Pos // //ldlint:confined types, by type name object
+	Fset     *token.FileSet
+	Packages []*Package
+	Graph    *CallGraph
 }
 
-// ModuleAnalyzer is one named check over the whole loaded module.
-// Module analyzers run after the per-package suite when ldlint is
-// invoked with -interproc.
-type ModuleAnalyzer struct {
-	// Name is the identifier used by -only/-disable flags and in
-	// //ldlint:ignore suppressions.
-	Name string
-	// Doc is a one-line description shown by ldlint -list.
-	Doc string
-	// Run inspects the module and reports diagnostics via pass.Reportf.
-	Run func(*ModulePass)
+// NewModule builds the call graph over the loaded packages.
+func NewModule(fset *token.FileSet, pkgs []*Package) *Module {
+	return &Module{Fset: fset, Packages: pkgs, Graph: buildCallGraph(pkgs)}
 }
 
-// ModuleAll lists every interprocedural analyzer, in the order they
-// run. EscapeCheck is not in this list: it is a build-mode pass driven
-// by the compiler rather than the call graph, enabled separately with
-// -escapecheck.
-var ModuleAll = []*ModuleAnalyzer{NoAllocProp, DetermReach, ShardConfine}
-
-// ModuleByName returns the module analyzer with the given name, or nil.
-func ModuleByName(name string) *ModuleAnalyzer {
-	for _, a := range ModuleAll {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// KnownAnalyzerName reports whether name identifies any analyzer in the
-// suite — per-package, module, or the escapecheck build pass. Used to
-// validate -only/-disable and //ldlint:ignore targets, which must
-// accept every analyzer regardless of which subset this run enables.
-func KnownAnalyzerName(name string) bool {
-	return ByName(name) != nil || ModuleByName(name) != nil || name == EscapeCheckName
-}
-
-// ModulePass carries the loaded module through one module analyzer.
+// ModulePass carries the loaded module through one analyzer.
 type ModulePass struct {
 	Module *Module
 
@@ -73,14 +30,11 @@ type ModulePass struct {
 
 // EdgeSuppressed reports whether a //ldlint:ignore for this analyzer
 // sits on the call site at pos (same line or the line above) and marks
-// it used. Propagation analyzers use this to cut traversal at
+// it used. The propagation analyzer uses this to cut traversal at
 // deliberate contract boundaries — a cold-path call whose callee
 // allocates by design — so the exemption is stated once, at the edge,
 // instead of once per construct in the callee's subtree.
 func (p *ModulePass) EdgeSuppressed(pos token.Pos) bool {
-	if p.sups == nil {
-		return false
-	}
 	pp := p.Module.Fset.Position(pos)
 	if s := p.sups[supKey{pp.Filename, pp.Line, p.analyzer}]; s != nil {
 		s.used = true
@@ -94,117 +48,16 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	reportf(p.Module.Fset, p.out, p.analyzer, pos, format, args...)
 }
 
-// subPass builds a per-package Pass for reusing the intra-function
-// checkers (checkNoAllocFunc, checkDeterminismFunc) from a module
-// analyzer. Diagnostics land in out under the module analyzer's name.
+// subPass builds a per-package Pass for the intra-function checkers
+// (checkNoAllocFunc, checkDeterminismNode). Diagnostics land in out
+// under this pass's analyzer name.
 func (p *ModulePass) subPass(pkg *Package, out *[]Diagnostic) *Pass {
 	return &Pass{
 		Fset:     pkg.Fset,
 		Path:     pkg.Path,
 		Files:    pkg.Files,
-		Pkg:      pkg.Types,
 		Info:     pkg.Info,
 		analyzer: p.analyzer,
 		out:      out,
 	}
-}
-
-// NewModule builds the shared interprocedural indexes over the loaded
-// packages: the call graph and the confined-type registry.
-func NewModule(fset *token.FileSet, modPath string, pkgs []*Package) *Module {
-	m := &Module{
-		Fset:       fset,
-		Path:       modPath,
-		Packages:   pkgs,
-		ConfinedTy: make(map[*types.TypeName]token.Pos),
-	}
-	for _, pkg := range pkgs {
-		collectConfinedTypes(pkg, m.ConfinedTy)
-	}
-	m.Graph = buildCallGraph(m)
-	return m
-}
-
-// RunModule runs the given module analyzers and appends their
-// diagnostics to out. Construct-level suppressions are applied by the
-// caller (the driver holds the module-wide suppression set); the set is
-// passed in here so propagation analyzers can additionally honor
-// call-site suppressions as traversal cuts.
-func (m *Module) RunModule(analyzers []*ModuleAnalyzer, sups []*suppression, out *[]Diagnostic) {
-	pass := &ModulePass{Module: m, sups: buildSupIndex(sups), out: out}
-	for _, a := range analyzers {
-		pass.analyzer = a.Name
-		a.Run(pass)
-	}
-}
-
-// LocalPath reports whether path is this module or a package inside it.
-func (m *Module) LocalPath(path string) bool {
-	return path == m.Path || strings.HasPrefix(path, m.Path+"/")
-}
-
-// collectConfinedTypes records every type declaration carrying a
-// //ldlint:confined directive in its doc comment. The directive marks
-// single-goroutine-owned types (EngineShard, the qlog SPSC Producer)
-// whose values the shardconfine analyzer keeps from escaping their
-// owning goroutine.
-func collectConfinedTypes(pkg *Package, out map[*types.TypeName]token.Pos) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				// The directive may sit on the GenDecl (single-spec form) or
-				// on the TypeSpec inside a grouped declaration.
-				if !hasDirective(gd.Doc, directiveConfined) && !hasDirective(ts.Doc, directiveConfined) {
-					continue
-				}
-				if obj, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-					out[obj] = ts.Pos()
-				}
-			}
-		}
-	}
-}
-
-// confinedTypeName resolves t to a //ldlint:confined type name, looking
-// through pointers and named-type chains. Returns nil when t is not
-// confined.
-func (m *Module) confinedTypeName(t types.Type) *types.TypeName {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-			continue
-		case *types.Named:
-			obj := u.Obj()
-			if _, ok := m.ConfinedTy[obj]; ok {
-				return obj
-			}
-			// An alias or defined type over another named type: one more
-			// hop through the underlying type.
-			if n, ok := u.Underlying().(*types.Named); ok && n != u {
-				t = n
-				continue
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
-}
-
-// reportf is the shared diagnostic constructor for Pass and ModulePass.
-func reportf(fset *token.FileSet, out *[]Diagnostic, analyzer string, pos token.Pos, format string, args ...any) {
-	*out = append(*out, Diagnostic{
-		Analyzer: analyzer,
-		Pos:      fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
 }

@@ -32,11 +32,13 @@ import (
 //     to the heap;
 //   - closures that capture a variable mutated in the enclosing
 //     function: capture-by-reference forces the variable (and the
-//     closure) to the heap.
+//     closure) to the heap;
+//   - &x of a local, or &T{...}, returned or stored anywhere but a
+//     local: the value outlives the call, so it lives on the heap.
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
 	Doc:  "flag allocation-prone constructs in //ldlint:noalloc annotated functions",
-	Run:  runNoAlloc,
+	Run:  perPackage(runNoAlloc),
 }
 
 func runNoAlloc(pass *Pass) {
@@ -293,11 +295,15 @@ func checkBoxingArgs(pass *Pass, call *ast.CallExpr) {
 }
 
 // checkBoxingInStmt flags interface boxing in return statements and
-// assignments to interface-typed destinations.
+// assignments to interface-typed destinations, and the address of a
+// local or of a composite literal leaving the call through either.
 func checkBoxingInStmt(pass *Pass, stmt ast.Stmt, fn *ast.FuncDecl) {
 	info := pass.Info
 	switch s := stmt.(type) {
 	case *ast.ReturnStmt:
+		for _, res := range s.Results {
+			reportAddrEscape(pass, fn, res, "returning")
+		}
 		sig, ok := info.Defs[fn.Name].Type().(*types.Signature)
 		if !ok || sig.Results().Len() != len(s.Results) {
 			return
@@ -307,12 +313,45 @@ func checkBoxingInStmt(pass *Pass, stmt ast.Stmt, fn *ast.FuncDecl) {
 		}
 	case *ast.AssignStmt:
 		if len(s.Lhs) != len(s.Rhs) || s.Tok == token.DEFINE {
-			return // := infers the RHS type: no conversion happens
+			return // := infers the RHS type and binds a local: nothing converts or escapes
 		}
 		for i, rhs := range s.Rhs {
 			reportBoxing(pass, rhs, lhsType(info, s.Lhs[i]), "assignment")
+			if id, ok := ast.Unparen(s.Lhs[i]).(*ast.Ident); !ok || !isLocal(info, fn, id) {
+				reportAddrEscape(pass, fn, rhs, "storing")
+			}
 		}
 	}
+}
+
+// reportAddrEscape flags e when it is &x of a local variable or &T{...}:
+// returned, or stored anywhere but a local, the value outlives the call
+// and the compiler moves it to the heap.
+func reportAddrEscape(pass *Pass, fn *ast.FuncDecl, e ast.Expr, what string) {
+	u, ok := ast.Unparen(e).(*ast.UnaryExpr)
+	if !ok || u.Op != token.AND {
+		return
+	}
+	switch x := ast.Unparen(u.X).(type) {
+	case *ast.CompositeLit:
+	case *ast.Ident:
+		if !isLocal(pass.Info, fn, x) {
+			return
+		}
+	default:
+		return // &s.field, &a[i]: the address of storage that already exists
+	}
+	pass.Reportf(u.Pos(), "%s the address of %s moves it to the heap in noalloc function", what, types.ExprString(u.X))
+}
+
+// isLocal reports whether id is the blank identifier or names a variable
+// declared in fn (a parameter included).
+func isLocal(info *types.Info, fn *ast.FuncDecl, id *ast.Ident) bool {
+	if id.Name == "_" {
+		return true
+	}
+	obj, ok := info.Uses[id].(*types.Var)
+	return ok && obj.Pos() >= fn.Pos() && obj.Pos() <= fn.End()
 }
 
 // lhsType resolves the declared type of an assignment destination.

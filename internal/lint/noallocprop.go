@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"sort"
 )
@@ -33,7 +32,7 @@ import (
 // edge: the sanctioned way to mark a deliberate cold-path boundary
 // (zone.Lookup handing off to wildcard and CNAME-chain synthesis)
 // without suppressing every construct in the callee's subtree.
-var NoAllocProp = &ModuleAnalyzer{
+var NoAllocProp = &Analyzer{
 	Name: "noallocprop",
 	Doc:  "require every function reachable from a //ldlint:noalloc root to be alloc-clean, reporting the call path",
 	Run:  runNoAllocProp,
@@ -41,9 +40,7 @@ var NoAllocProp = &ModuleAnalyzer{
 
 func runNoAllocProp(p *ModulePass) {
 	g := p.Module.Graph
-	roots := annotatedRoots(g, func(n *FuncNode) bool {
-		return hasDirective(n.Decl.Doc, directiveNoAlloc)
-	})
+	roots := annotatedRoots(g)
 	// One construct scan per function, shared across every root that
 	// reaches it; one report per construct, attributed to the first
 	// (shortest, earliest-root) path that reaches it.
@@ -51,7 +48,7 @@ func runNoAllocProp(p *ModulePass) {
 	reported := make(map[token.Position]bool)
 	for _, root := range roots {
 		g.Reach(root,
-			func(e *CallEdge) bool { return e.Kind != KindGo && !p.EdgeSuppressed(e.Pos) },
+			func(e *CallEdge) bool { return !e.Go && !p.EdgeSuppressed(e.Pos) },
 			func(node *FuncNode, path []*CallEdge) bool {
 				if hasDirective(node.Decl.Doc, directiveNoAlloc) {
 					return false // its own root; its own subtree, its own contract
@@ -76,13 +73,13 @@ func runNoAllocProp(p *ModulePass) {
 	}
 }
 
-// annotatedRoots collects the graph nodes matching the predicate,
-// sorted by declaration position so traversal order — and with it the
-// "first path wins" attribution — is deterministic run to run.
-func annotatedRoots(g *CallGraph, match func(*FuncNode) bool) []*FuncNode {
+// annotatedRoots collects the //ldlint:noalloc functions, sorted by
+// declaration position so traversal order — and with it the "first path
+// wins" attribution — is deterministic run to run.
+func annotatedRoots(g *CallGraph) []*FuncNode {
 	var roots []*FuncNode
 	for _, n := range g.Nodes {
-		if match(n) {
+		if hasDirective(n.Decl.Doc, directiveNoAlloc) {
 			roots = append(roots, n)
 		}
 	}
@@ -95,11 +92,4 @@ func annotatedRoots(g *CallGraph, match func(*FuncNode) bool) []*FuncNode {
 		return pi.Line < pj.Line
 	})
 	return roots
-}
-
-// funcDeclDirective reports whether decl is a function declaration
-// carrying the directive in its doc comment.
-func funcDeclDirective(decl ast.Decl, directive string) bool {
-	fn, ok := decl.(*ast.FuncDecl)
-	return ok && hasDirective(fn.Doc, directive)
 }

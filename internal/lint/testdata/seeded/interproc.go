@@ -1,7 +1,6 @@
-// Deliberate interprocedural violations: under -interproc the
-// allocation in deep must be reported with the multi-frame call path
-// from the annotated root, and the stale noallocprop suppression must
-// be flagged as unused — but only when that analyzer actually runs.
+// Deliberate interprocedural violations: the allocation in deep must be
+// reported with the multi-frame call path from the annotated root, and
+// the stale noallocprop suppression must be flagged as unused.
 package seeded
 
 import "fmt"

@@ -22,8 +22,8 @@ func calls(n int) {
 
 //ldlint:noalloc
 func concat(s string) string {
-	s += "suffix"     // want noalloc string concatenation allocates
-	t := s + s        // want noalloc string concatenation allocates
+	s += "suffix"       // want noalloc string concatenation allocates
+	t := s + s          // want noalloc string concatenation allocates
 	const u = "a" + "b" // ok: constant concatenation folds at compile time
 	_ = u
 	return t
@@ -68,6 +68,23 @@ func closure() int {
 	add := func(n int) { total += n } // want noalloc closure captures mutated variable
 	add(3)
 	return total
+}
+
+type pair struct{ a, b int }
+
+var (
+	pairSink *pair
+	intSink  *int
+)
+
+//ldlint:noalloc
+func addresses(n int, p *pair) *int {
+	v := n + 1
+	pairSink = &pair{a: n} // want noalloc storing the address of pair{…} moves it to the heap
+	local := &pair{b: n}   // ok: bound to a local, so it can stay on the stack
+	intSink = &p.a         // ok: the address of storage that already exists
+	_ = local
+	return &v // want noalloc returning the address of v moves it to the heap
 }
 
 //ldlint:noalloc

@@ -79,8 +79,6 @@ type Result struct {
 	// RouteDrops counts datagrams the virtual network dropped for lack
 	// of a route — always 0 in a correctly wired scenario.
 	RouteDrops int64
-	// Elapsed is the wall-clock duration of the replay call.
-	Elapsed time.Duration
 }
 
 // zoneText answers everything under example.com via a wildcard, like the
@@ -180,7 +178,6 @@ func Run(ctx context.Context, s Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	start := time.Now() //ldlint:ignore determinism wall-clock Elapsed measurement for reporting; never feeds a fault decision
 	st, err := en.Replay(ctx, trace.NewSliceReader(entries))
 	if err != nil {
 		return Result{}, err
@@ -190,6 +187,5 @@ func Run(ctx context.Context, s Scenario) (Result, error) {
 		QueryLink:    n.LinkImpairStats(ServerAddr, MetaAddr),
 		ResponseLink: n.LinkImpairStats(ServerAddr, ClientAddr),
 		RouteDrops:   n.Dropped(),
-		Elapsed:      time.Since(start), //ldlint:ignore determinism wall-clock Elapsed measurement for reporting; never feeds a fault decision
 	}, nil
 }

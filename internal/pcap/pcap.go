@@ -25,6 +25,11 @@ const (
 	magicNanosSwapped  = 0x4d3cb2a1
 )
 
+// maxSnapLen is libpcap's largest snapshot length. Reader rejects any
+// record longer than this whatever the file header's snaplen says, so a
+// 16-byte record header cannot ask for a multi-GiB allocation.
+const maxSnapLen = 262144
+
 // PacketInfo is the per-packet record header.
 type PacketInfo struct {
 	Timestamp time.Time
@@ -40,7 +45,6 @@ type Reader struct {
 	order    binary.ByteOrder
 	nanos    bool
 	LinkType uint32
-	snapLen  uint32
 	hdr      [16]byte
 }
 
@@ -64,7 +68,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	default:
 		return nil, fmt.Errorf("pcap: bad magic %#x", magic)
 	}
-	pr.snapLen = pr.order.Uint32(gh[16:20])
 	pr.LinkType = pr.order.Uint32(gh[20:24])
 	return pr, nil
 }
@@ -82,8 +85,8 @@ func (pr *Reader) Next() (PacketInfo, []byte, error) {
 	sub := int64(pr.order.Uint32(pr.hdr[4:8]))
 	incl := pr.order.Uint32(pr.hdr[8:12])
 	orig := pr.order.Uint32(pr.hdr[12:16])
-	if pr.snapLen > 0 && incl > pr.snapLen+65536 {
-		return PacketInfo{}, nil, fmt.Errorf("pcap: capture length %d exceeds snaplen", incl)
+	if incl > maxSnapLen {
+		return PacketInfo{}, nil, fmt.Errorf("pcap: capture length %d exceeds %d", incl, maxSnapLen)
 	}
 	data := make([]byte, incl)
 	if _, err := io.ReadFull(pr.r, data); err != nil {
@@ -115,9 +118,9 @@ func NewWriter(w io.Writer, linkType uint32) *Writer {
 func (pw *Writer) writeGlobalHeader() error {
 	var gh [24]byte
 	binary.LittleEndian.PutUint32(gh[0:4], magicMicros)
-	binary.LittleEndian.PutUint16(gh[4:6], 2)        // version major
-	binary.LittleEndian.PutUint16(gh[6:8], 4)        // version minor
-	binary.LittleEndian.PutUint32(gh[16:20], 262144) // snaplen
+	binary.LittleEndian.PutUint16(gh[4:6], 2) // version major
+	binary.LittleEndian.PutUint16(gh[6:8], 4) // version minor
+	binary.LittleEndian.PutUint32(gh[16:20], maxSnapLen)
 	binary.LittleEndian.PutUint32(gh[20:24], pw.linkType)
 	_, err := pw.w.Write(gh[:])
 	return err

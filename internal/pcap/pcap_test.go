@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 	"ldplayer/internal/trace"
 )
 
-func dnsQuery(t *testing.T, id uint16, name string) []byte {
+func dnsQuery(t testing.TB, id uint16, name string) []byte {
 	t.Helper()
 	wire, err := dnswire.NewQuery(id, name, dnswire.TypeA).Pack(nil)
 	if err != nil {
@@ -21,7 +22,7 @@ func dnsQuery(t *testing.T, id uint16, name string) []byte {
 	return wire
 }
 
-func sampleTrace(t *testing.T) []trace.Entry {
+func sampleTrace(t testing.TB) []trace.Entry {
 	t.Helper()
 	base := time.Unix(1700000000, 500000000)
 	return []trace.Entry{
@@ -106,6 +107,55 @@ func TestPcapTruncatedPacket(t *testing.T) {
 	}
 	if _, _, err := pr.Next(); err == nil {
 		t.Error("truncated packet accepted")
+	}
+}
+
+// allocatedDuring reports how many heap bytes f allocated.
+func allocatedDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// classicPcap is a global header with the given snaplen followed by one
+// record header claiming incl captured bytes and then payload.
+func classicPcap(snaplen, incl uint32, payload []byte) []byte {
+	b := make([]byte, 24+16, 24+16+len(payload))
+	binary.LittleEndian.PutUint32(b[0:4], magicMicros)
+	binary.LittleEndian.PutUint16(b[4:6], 2)
+	binary.LittleEndian.PutUint16(b[6:8], 4)
+	binary.LittleEndian.PutUint32(b[16:20], snaplen)
+	binary.LittleEndian.PutUint32(b[20:24], LinkTypeRaw)
+	binary.LittleEndian.PutUint32(b[24+8:24+12], incl)
+	binary.LittleEndian.PutUint32(b[24+12:24+16], incl)
+	return append(b, payload...)
+}
+
+// TestPcapRejectsHostileRecordLength: a record longer than libpcap's
+// largest snaplen is an error before its payload is allocated, whatever
+// the file header's own snaplen says (0 used to mean "no limit").
+func TestPcapRejectsHostileRecordLength(t *testing.T) {
+	for _, snaplen := range []uint32{0, 1 << 30} {
+		// The whole oversized payload is present: only the length check
+		// can refuse it.
+		data := classicPcap(snaplen, maxSnapLen+4, make([]byte, maxSnapLen+4))
+		pr, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := pr.Next(); err == nil {
+			t.Errorf("snaplen %d: %d-byte record accepted", snaplen, maxSnapLen+4)
+		}
+	}
+	// A 16-byte record header claiming 64 MiB must not cost 64 MiB.
+	pr, err := NewReader(bytes.NewReader(classicPcap(0, 1<<26, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := allocatedDuring(func() { pr.Next() }); n > 1<<20 {
+		t.Errorf("hostile record header allocated %d bytes", n)
 	}
 }
 

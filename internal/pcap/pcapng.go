@@ -25,6 +25,10 @@ const (
 
 const byteOrderMagic = 0x1A2B3C4D
 
+// maxBlockLen caps every block's total length, section headers included,
+// before its body is allocated.
+const maxBlockLen = 1 << 26
+
 // ngInterface records what LDplayer needs per interface.
 type ngInterface struct {
 	linkType uint32
@@ -66,7 +70,7 @@ func (ng *NgReader) readSectionHeader() error {
 		return fmt.Errorf("pcapng: bad byte-order magic")
 	}
 	total := ng.order.Uint32(head[4:8])
-	if total < 28 || total%4 != 0 {
+	if total < 28 || total%4 != 0 || total > maxBlockLen {
 		return fmt.Errorf("pcapng: bad section header length %d", total)
 	}
 	// Skip the rest of the block (version, section length, options,
@@ -91,7 +95,7 @@ func (ng *NgReader) readBlock() (uint32, []byte, error) {
 	}
 	typ := ng.order.Uint32(head[0:4])
 	total := ng.order.Uint32(head[4:8])
-	if total < 12 || total%4 != 0 || total > 1<<26 {
+	if total < 12 || total%4 != 0 || total > maxBlockLen {
 		return 0, nil, fmt.Errorf("pcapng: bad block length %d", total)
 	}
 	body := make([]byte, total-8)

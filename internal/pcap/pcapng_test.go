@@ -22,7 +22,7 @@ func writeNgBlock(buf *bytes.Buffer, typ uint32, body []byte) {
 }
 
 // buildNgCapture assembles SHB + IDB + one EPB per packet.
-func buildNgCapture(t *testing.T, linkType uint32, packets [][]byte, ts []time.Time) []byte {
+func buildNgCapture(t testing.TB, linkType uint32, packets [][]byte, ts []time.Time) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	// Section header: magic, version 1.0, section length -1.
@@ -129,6 +129,24 @@ func TestPcapngSkipsUnknownBlocks(t *testing.T) {
 	}
 	if len(got) != 1 {
 		t.Fatalf("entries = %d", len(got))
+	}
+}
+
+// TestPcapngRejectsHostileSectionHeader: the first section header's
+// length gets the same cap as every later block, checked before its body
+// is allocated.
+func TestPcapngRejectsHostileSectionHeader(t *testing.T) {
+	var head [12]byte
+	binary.LittleEndian.PutUint32(head[0:4], blockSectionHeader)
+	binary.LittleEndian.PutUint32(head[4:8], maxBlockLen+4)
+	binary.LittleEndian.PutUint32(head[8:12], byteOrderMagic)
+	var err error
+	n := allocatedDuring(func() { _, err = NewNgReader(bytes.NewReader(head[:])) })
+	if err == nil {
+		t.Error("hostile section header accepted")
+	}
+	if n > 1<<20 {
+		t.Errorf("hostile section header allocated %d bytes", n)
 	}
 }
 

@@ -150,112 +150,87 @@ func (w *BlockWriter) Flush() error {
 // bytes still in the bufio buffer).
 func (w *BlockWriter) BytesWritten() int64 { return w.bytes }
 
-// blockCursor decodes events sequentially out of one inflated payload.
+// blockCursor decodes events sequentially out of one inflated payload:
+// buf is what is left of it, remain the events still in it.
 type blockCursor struct {
 	buf      []byte
-	off      int
 	remain   uint32
 	prevNano int64
 }
 
-func (c *blockCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.buf[c.off:])
-	if n <= 0 {
-		return 0, errQlogBlockColumn
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *blockCursor) varint() (int64, error) {
-	v, n := binary.Varint(c.buf[c.off:])
-	if n <= 0 {
-		return 0, errQlogBlockColumn
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *blockCursor) take(n int) ([]byte, error) {
-	if n < 0 || n > len(c.buf)-c.off {
-		return nil, errQlogBlockColumn
-	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
-	return b, nil
-}
-
-// next decodes one event.
+// next decodes one event off the front of c.buf.
 func (c *blockCursor) next(ev *Event) error {
-	dt, err := c.varint()
-	if err != nil {
-		return err
+	cur := trace.VarCursor{Buf: c.buf}
+	dt, ok := cur.Varint()
+	if !ok {
+		return errQlogBlockColumn
 	}
 	c.prevNano += dt
 	ev.Time = c.prevNano
-	if ev.Latency, err = c.varint(); err != nil {
-		return err
+	if ev.Latency, ok = cur.Varint(); !ok {
+		return errQlogBlockColumn
 	}
-	famB, err := c.take(1)
-	if err != nil {
-		return err
+	famB, ok := cur.Take(1)
+	if !ok {
+		return errQlogBlockColumn
 	}
 	switch famB[0] {
 	case 0:
 		ev.Peer = netip.Addr{}
 	case 4:
-		a, err := c.take(4)
-		if err != nil {
-			return err
+		a, ok := cur.Take(4)
+		if !ok {
+			return errQlogBlockColumn
 		}
 		ev.Peer = netip.AddrFrom4([4]byte(a))
 	case 16:
-		a, err := c.take(16)
-		if err != nil {
-			return err
+		a, ok := cur.Take(16)
+		if !ok {
+			return errQlogBlockColumn
 		}
 		ev.Peer = netip.AddrFrom16([16]byte(a))
 	default:
 		return fmt.Errorf("qlog: bad peer family %d in block", famB[0])
 	}
-	id, err := c.uvarint()
-	if err != nil || id > 0xffff {
+	id, ok := cur.Uvarint()
+	if !ok || id > 0xffff {
 		return errQlogBlockColumn
 	}
 	ev.ID = uint16(id)
-	qt, err := c.uvarint()
-	if err != nil || qt > 0xffff {
+	qt, ok := cur.Uvarint()
+	if !ok || qt > 0xffff {
 		return errQlogBlockColumn
 	}
 	ev.QType = uint16(qt)
-	qc, err := c.uvarint()
-	if err != nil || qc > 0xffff {
+	qc, ok := cur.Uvarint()
+	if !ok || qc > 0xffff {
 		return errQlogBlockColumn
 	}
 	ev.QClass = uint16(qc)
-	fixed, err := c.take(3)
-	if err != nil {
-		return err
+	fixed, ok := cur.Take(3)
+	if !ok {
+		return errQlogBlockColumn
 	}
 	ev.Rcode, ev.Transport, ev.Flags = fixed[0], fixed[1], fixed[2]
-	vlen, err := c.uvarint()
-	if err != nil || vlen > 255 {
+	vlen, ok := cur.Uvarint()
+	if !ok || vlen > 255 {
 		return errQlogBlockColumn
 	}
-	view, err := c.take(int(vlen))
-	if err != nil {
-		return err
+	view, ok := cur.Take(int(vlen))
+	if !ok {
+		return errQlogBlockColumn
 	}
 	ev.View = string(view)
-	qlen, err := c.uvarint()
-	if err != nil || qlen > MaxQName {
+	qlen, ok := cur.Uvarint()
+	if !ok || qlen > MaxQName {
 		return errQlogBlockColumn
 	}
-	qname, err := c.take(int(qlen))
-	if err != nil {
-		return err
+	qname, ok := cur.Take(int(qlen))
+	if !ok {
+		return errQlogBlockColumn
 	}
 	ev.QNameLen = uint8(copy(ev.QName[:], qname))
+	c.buf = cur.Buf[cur.Off:]
 	c.remain--
 	return nil
 }

@@ -83,11 +83,9 @@ func (r *ring) published() int64 { return int64(r.tail.Load()) }
 // attached) are not usable; hot paths guard with a nil check on the
 // Producer pointer itself.
 //
-// The single-producer half of the contract is machine-checked:
-// //ldlint:confined makes ldlint's shardconfine analyzer flag any
-// Producer value escaping the goroutine that owns it.
-//
-//ldlint:confined
+// The single-producer half of the contract is the race detector's to
+// check (`make race`): two goroutines sharing a Producer write its tail
+// without synchronization.
 type Producer struct {
 	r *ring
 	// tail mirrors r.tail locally so the hot path stores, never loads,

@@ -147,7 +147,6 @@ func (t *pendTable) settle(id uint16, now time.Time) (pendOutcome, time.Duration
 	defer t.mu.Unlock()
 	if s, live := t.slots[uint32(id)]; live {
 		delete(t.slots, uint32(id))
-		//ldlint:ignore escapecheck amortized idSet page inlined from add: one 128-byte page per 1024 IDs, kept for the life of the socket
 		t.answered.add(id)
 		t.counts.inFlight.Add(-1)
 		return pendFresh, now.Sub(s.first)

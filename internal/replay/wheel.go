@@ -247,7 +247,6 @@ func (w *wheel) insert(it *wheelItem) {
 func (w *wheel) scheduleEntry(due time.Time, qidx int32, e trace.Entry) {
 	w.paced.Add(1)
 	w.mu.Lock()
-	//ldlint:ignore escapecheck amortized wheelItem slab refill inlined from newItem: one 256-item chunk per 256 insertions, recycled through the freelist
 	it := w.newItem()
 	it.dueTick = w.tickOf(due)
 	it.kind = kindEntry
@@ -262,7 +261,6 @@ func (w *wheel) scheduleEntry(due time.Time, qidx int32, e trace.Entry) {
 //ldlint:noalloc
 func (w *wheel) scheduleRetrans(delay time.Duration, q *querier, sock *udpSocket, id uint16, seq uint32) {
 	w.mu.Lock()
-	//ldlint:ignore escapecheck amortized wheelItem slab refill inlined from newItem: one 256-item chunk per 256 insertions, recycled through the freelist
 	it := w.newItem()
 	it.dueTick = w.tickOf(w.clock.Now().Add(delay))
 	it.kind = kindRetrans
@@ -495,7 +493,6 @@ func (w *wheel) advance(now time.Time) {
 		switch it.kind {
 		case kindEntry:
 			if w.scratch[it.qidx] == nil {
-				//ldlint:ignore escapecheck amortized freelist refill inlined from getBatch: a fresh batch only when all 64 recycled ones are in flight
 				w.scratch[it.qidx] = getBatch()
 			}
 			w.scratch[it.qidx] = append(w.scratch[it.qidx], it.entry)

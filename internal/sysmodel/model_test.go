@@ -151,7 +151,7 @@ func TestMemoryModelCalibration(t *testing.T) {
 	m := DefaultModel()
 	// At the paper's operating point our B-Root workload model produces
 	// ~98k established and ~276k TIME_WAIT connections at a 20 s timeout
-	// (see TestPaperScaleFootprint in internal/experiments); the constants
+	// (`ldplayer experiment -name fig13|fig14 -paper-scale`); the constants
 	// must put that at the paper's measured 15 GB for TCP and ~18 GB for
 	// TLS.
 	memTCP := m.BaseMemory + 98_000*m.PerConnTCP + 276_000*m.PerTimeWait

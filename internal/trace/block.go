@@ -465,49 +465,63 @@ func (b *BlockWriter) Close() error {
 // cursor once; all bounds were pre-validated against the header.
 type blockColumns struct {
 	src, dst []netip.Addr
-	srcIdx   varCursor
-	dstIdx   varCursor
+	srcIdx   VarCursor
+	dstIdx   VarCursor
 	srcPorts []byte // u16 BE per entry
 	dstPorts []byte
 	protos   []byte
-	times    varCursor
-	lens     varCursor
+	times    VarCursor
+	lens     VarCursor
 	msgs     []byte
 	msgOff   int
 	prevNano int64
 	prevLen  int64
 }
 
-// varCursor walks one varint column.
-type varCursor struct {
-	buf []byte
-	off int
+// VarCursor reads varints and byte runs off the front of Buf; Off is how
+// much of Buf has been read. It is the one column walker of both block
+// payloads, trace's and qlog's.
+type VarCursor struct {
+	Buf []byte
+	Off int
 }
 
-// uvarint decodes the next unsigned varint; ok=false on truncation or
+// Uvarint decodes the next unsigned varint; ok=false on truncation or
 // overflow.
 //
 //ldlint:noalloc
-func (c *varCursor) uvarint() (uint64, bool) {
-	v, n := binary.Uvarint(c.buf[c.off:])
+func (c *VarCursor) Uvarint() (uint64, bool) {
+	v, n := binary.Uvarint(c.Buf[c.Off:])
 	if n <= 0 {
 		return 0, false
 	}
-	c.off += n
+	c.Off += n
 	return v, true
 }
 
-// varint decodes the next zigzag varint; ok=false on truncation or
+// Varint decodes the next zigzag varint; ok=false on truncation or
 // overflow.
 //
 //ldlint:noalloc
-func (c *varCursor) varint() (int64, bool) {
-	v, n := binary.Varint(c.buf[c.off:])
+func (c *VarCursor) Varint() (int64, bool) {
+	v, n := binary.Varint(c.Buf[c.Off:])
 	if n <= 0 {
 		return 0, false
 	}
-	c.off += n
+	c.Off += n
 	return v, true
+}
+
+// Take returns the next n bytes; ok=false when fewer remain.
+//
+//ldlint:noalloc
+func (c *VarCursor) Take(n int) ([]byte, bool) {
+	if n < 0 || n > len(c.Buf)-c.Off {
+		return nil, false
+	}
+	b := c.Buf[c.Off : c.Off+n]
+	c.Off += n
+	return b, true
 }
 
 // parseDict reads one address dictionary off the front of buf,
@@ -572,11 +586,11 @@ func parseBlockColumns(hdr BlockHeader, raw []byte) (blockColumns, error) {
 	if col, raw, err = splitVarColumn(raw, hdr.Count); err != nil {
 		return bc, err
 	}
-	bc.srcIdx = varCursor{buf: col}
+	bc.srcIdx = VarCursor{Buf: col}
 	if col, raw, err = splitVarColumn(raw, hdr.Count); err != nil {
 		return bc, err
 	}
-	bc.dstIdx = varCursor{buf: col}
+	bc.dstIdx = VarCursor{Buf: col}
 	// Fixed-width columns: two u16 port columns, then one proto byte per
 	// entry. Count is bounded by MaxBlockEntries, so 5*Count cannot
 	// overflow.
@@ -592,11 +606,11 @@ func parseBlockColumns(hdr BlockHeader, raw []byte) (blockColumns, error) {
 	if col, raw, err = splitVarColumn(raw, hdr.Count); err != nil {
 		return bc, err
 	}
-	bc.times = varCursor{buf: col}
+	bc.times = VarCursor{Buf: col}
 	if col, raw, err = splitVarColumn(raw, hdr.Count); err != nil {
 		return bc, err
 	}
-	bc.lens = varCursor{buf: col}
+	bc.lens = VarCursor{Buf: col}
 	bc.msgs = raw
 	bc.prevNano = hdr.FirstNano
 	return bc, nil
@@ -608,11 +622,11 @@ func parseBlockColumns(hdr BlockHeader, raw []byte) (blockColumns, error) {
 //
 //ldlint:noalloc
 func (bc *blockColumns) next(i uint32, e *Entry) error {
-	si, ok := bc.srcIdx.uvarint()
+	si, ok := bc.srcIdx.Uvarint()
 	if !ok || si >= uint64(len(bc.src)) {
 		return errBlockDictIdx
 	}
-	di, ok := bc.dstIdx.uvarint()
+	di, ok := bc.dstIdx.Uvarint()
 	if !ok || di >= uint64(len(bc.dst)) {
 		return errBlockDictIdx
 	}
@@ -620,7 +634,7 @@ func (bc *blockColumns) next(i uint32, e *Entry) error {
 	if proto > uint8(TLS) {
 		return errBlockProto
 	}
-	dt, ok := bc.times.varint()
+	dt, ok := bc.times.Varint()
 	if !ok {
 		return errBlockColumn
 	}
@@ -629,7 +643,7 @@ func (bc *blockColumns) next(i uint32, e *Entry) error {
 	// guarantees only what the columns say.
 	nano := bc.prevNano + dt
 	bc.prevNano = nano
-	dl, ok := bc.lens.varint()
+	dl, ok := bc.lens.Varint()
 	if !ok {
 		return errBlockColumn
 	}
