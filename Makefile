@@ -120,6 +120,8 @@ sim-smoke:
 # front to back as the controller↔client link and the qlog stream read
 # them (FuzzBlockStream), through the sequential frame reader;
 # FuzzQlogBlockDecode is the qlog event cursor behind that reader.
+# FuzzTextTrace drives the hand-editable text trace reader: every entry
+# it returns must re-encode and read back as itself.
 # FuzzPcapRead drives both capture readers and the DNS extractor (every
 # packet handed back must fit inside its input), FuzzZoneParse the
 # master-file parser (a zone that parses must compile and answer every
@@ -141,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzBlockDecode$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockHeader$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzBlockStream$$' -fuzztime 5s ./internal/trace/
+	$(GO) test -run XXX -fuzz 'FuzzTextTrace$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzQlogBlockDecode$$' -fuzztime 5s ./internal/qlog/
 	$(GO) test -run XXX -fuzz 'FuzzPendTable$$' -fuzztime 5s ./internal/replay/
 

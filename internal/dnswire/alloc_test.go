@@ -21,7 +21,7 @@ func TestPackPresizedAllocs(t *testing.T) {
 	}
 }
 
-// TestUnpackReuseAllocs pins steady-state Unpack into a pooled Message:
+// TestUnpackReuseAllocs pins steady-state Unpack into a reused Message:
 // section slices are reused, so per-message allocations are limited to
 // the decoded names and rdata values themselves.
 func TestUnpackReuseAllocs(t *testing.T) {
@@ -29,8 +29,7 @@ func TestUnpackReuseAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := GetMessage()
-	defer PutMessage(m)
+	m := new(Message)
 	base := testing.AllocsPerRun(1000, func() {
 		if err := m.Unpack(wire); err != nil {
 			t.Fatal(err)

@@ -104,15 +104,6 @@ func (m *Message) unpackEDNS(name string, class Class, ttl uint32, rdata []byte)
 	return nil
 }
 
-// WireLen returns the packed size of the OPT record.
-func (e *EDNS) WireLen() int {
-	n := 1 + 2 + 2 + 4 + 2 // name, type, class, ttl, rdlength
-	for _, opt := range e.Options {
-		n += 4 + len(opt.Data)
-	}
-	return n
-}
-
 // Clone returns a deep copy of e, or nil when e is nil.
 func (e *EDNS) Clone() *EDNS {
 	if e == nil {

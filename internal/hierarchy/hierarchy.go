@@ -287,17 +287,6 @@ func (h *Hierarchy) Views() []*authserver.View {
 	return views
 }
 
-// AllNSAddrs returns every nameserver address in the hierarchy, the set
-// the authoritative proxy must own in netsim.
-func (h *Hierarchy) AllNSAddrs() []netip.Addr {
-	var out []netip.Addr
-	for _, addrs := range h.NSAddrs {
-		out = append(out, addrs...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
 // Validate checks every zone's structural invariants.
 func (h *Hierarchy) Validate() []error {
 	var errs []error

@@ -34,9 +34,6 @@ func NewPipeline(mutations ...Mutation) *Pipeline {
 	return &Pipeline{mutations: mutations}
 }
 
-// Append adds further mutations.
-func (p *Pipeline) Append(m ...Mutation) { p.mutations = append(p.mutations, m...) }
-
 // Apply runs the pipeline on one entry.
 func (p *Pipeline) Apply(e *trace.Entry) error {
 	for _, m := range p.mutations {
@@ -137,17 +134,6 @@ func SetDOFraction(fraction float64, rng *rand.Rand) Mutation {
 		on := rng.Float64() < fraction
 		return SetDO(on)(e)
 	}
-}
-
-// ForceEDNS sets the advertised UDP buffer size, adding OPT when missing.
-func ForceEDNS(size uint16) Mutation {
-	return EditMessage(func(m *dnswire.Message) error {
-		if m.Edns == nil {
-			m.Edns = &dnswire.EDNS{}
-		}
-		m.Edns.UDPSize = size
-		return nil
-	})
 }
 
 // PrependUnique tags every query name with a distinct prefix label

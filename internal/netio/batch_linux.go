@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
@@ -69,8 +71,13 @@ type UDPBatch struct {
 	sendCtl  []cmsgSeg
 	sendRuns []int // messages carried by each staged header
 
-	// receive state
-	bufs     [][]byte
+	// receive state. The iovecs point into slab, bufSize bytes per
+	// buffer, only while a Recv holds it: the slab is borrowed from
+	// slabs when the socket is readable and handed back before the
+	// reader parks, so an idle socket holds no receive memory.
+	slabs    *slabList
+	slab     []byte
+	bufSize  int
 	recvIovs []syscall.Iovec
 	recvHdrs []mmsghdr
 	recvCtl  []cmsgSeg
@@ -95,9 +102,71 @@ type UDPBatch struct {
 	sendChunk int // in: headers staged in sendHdrs
 	sendDone  int // out: headers submitted
 	sendErr   error
-	recvFn    func(fd uintptr) bool
-	recvGot   int // out: messages received
+	recvFn    func(fd uintptr) bool // b.recvOnce
+	recvGot   int                   // out: messages received
 	recvErr   error
+}
+
+// slabList is the free list of receive slabs of one size, shared by
+// every UDPBatch whose slabs are that size. Not a sync.Pool, which every
+// GC empties: a reader that wakes after a collection would allocate its
+// slab afresh. A stack, not a FIFO channel: the slab handed back last is
+// the one most likely still in cache, and the kernel's copy into a cold
+// slab costs measurable goodput on a busy socket. Slabs are made only
+// when the list is empty, so it holds about as many as readers were ever
+// between a wake-up and their next park at once — a few per CPU, however
+// many sockets are open. A slab handed back to a full list goes to the GC.
+type slabList struct {
+	size int
+	mu   sync.Mutex
+	free [][]byte     // capacity slabFreeCap
+	made atomic.Int64 // slabs allocated over the process's lifetime
+}
+
+// slabFreeCap is what a free list keeps once its readers park: far above
+// the few readers a host has awake at once, and at most 16 MiB of the
+// replay client's 256 KiB slabs.
+const slabFreeCap = 64
+
+// slabLists maps a slab size to its free list.
+var slabLists = struct {
+	sync.Mutex
+	m map[int]*slabList
+}{m: make(map[int]*slabList)}
+
+// slabListOf returns the free list for slabs of size bytes.
+func slabListOf(size int) *slabList {
+	slabLists.Lock()
+	defer slabLists.Unlock()
+	l := slabLists.m[size]
+	if l == nil {
+		l = &slabList{size: size, free: make([][]byte, 0, slabFreeCap)}
+		slabLists.m[size] = l
+	}
+	return l
+}
+
+func (l *slabList) get() []byte {
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		s := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return s
+	}
+	l.mu.Unlock()
+	l.made.Add(1)
+	//ldlint:ignore noallocprop amortized freelist refill: a fresh slab only when every recycled one is held by a reader between wake-up and park
+	return make([]byte, l.size)
+}
+
+func (l *slabList) put(s []byte) {
+	l.mu.Lock()
+	if len(l.free) < cap(l.free) {
+		l.free = append(l.free, s)
+	}
+	l.mu.Unlock()
 }
 
 // sockaddrStorage is large enough for any AF_INET/AF_INET6 sockaddr.
@@ -111,6 +180,12 @@ const sockaddrStorage = 28
 // super-datagrams and receives accept coalesced buffers — size receive
 // buffers for up to 64 segments per buffer when responses may arrive
 // coalesced.
+//
+// The recvN×bufSize receive slab is not the UDPBatch's own. Recv borrows
+// one from a process-wide free list when the socket is readable, keeps it
+// while the caller reads the buffers and into the next Recv, and hands it
+// back when that Recv finds the socket empty and parks. A socket whose
+// reader is parked costs only its headers.
 func NewUDPBatch(c *net.UDPConn, sendN, recvN, bufSize int, withAddrs bool) (*UDPBatch, error) {
 	return NewUDPBatchConfig(c, BatchConfig{SendMsgs: sendN, RecvMsgs: recvN, BufSize: bufSize, Addrs: withAddrs})
 }
@@ -132,6 +207,8 @@ func NewUDPBatchConfig(c *net.UDPConn, cfg BatchConfig) (*UDPBatch, error) {
 		sendHdrs: make([]mmsghdr, sendN),
 		sendCtl:  make([]cmsgSeg, sendN),
 		sendRuns: make([]int, sendN),
+		slabs:    slabListOf(n * bufSize),
+		bufSize:  bufSize,
 		recvIovs: make([]syscall.Iovec, n),
 		recvHdrs: make([]mmsghdr, n),
 		recvCtl:  make([]cmsgSeg, n),
@@ -154,13 +231,7 @@ func NewUDPBatchConfig(c *net.UDPConn, cfg BatchConfig) (*UDPBatch, error) {
 			return nil, ctlErr
 		}
 	}
-	slab := make([]byte, n*bufSize)
-	b.bufs = make([][]byte, n)
-	for i := range b.bufs {
-		b.bufs[i] = slab[i*bufSize : (i+1)*bufSize : (i+1)*bufSize]
-	}
 	for i := range b.recvHdrs {
-		b.recvIovs[i].Base = &b.bufs[i][0]
 		b.recvIovs[i].SetLen(bufSize)
 		b.recvHdrs[i].hdr.Iov = &b.recvIovs[i]
 		b.recvHdrs[i].hdr.Iovlen = 1
@@ -190,24 +261,64 @@ func NewUDPBatchConfig(c *net.UDPConn, cfg BatchConfig) (*UDPBatch, error) {
 		}
 		return true
 	}
-	b.recvFn = func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-				uintptr(unsafe.Pointer(&b.recvHdrs[0])), uintptr(len(b.recvHdrs)), 0, 0, 0)
-			switch {
-			case errno == syscall.EAGAIN:
-				return false
-			case errno == syscall.EINTR:
-				continue
-			case errno != 0:
-				b.recvErr = errno
-				return true
-			}
-			b.recvGot = int(r1)
+	b.recvFn = b.recvOnce
+	return b, nil
+}
+
+// recvOnce is Recv's RawConn callback: one recvmmsg into a borrowed slab.
+// rc.Read calls it when Recv starts and again after every readiness
+// wake-up. A slab still held from the previous Recv serves the first
+// attempt; an empty socket hands the slab back before the goroutine
+// parks, and the attempt after the wake-up borrows one again.
+//
+//ldlint:noalloc
+func (b *UDPBatch) recvOnce(fd uintptr) bool {
+	if b.slab == nil {
+		b.takeSlab()
+	}
+	for {
+		r1, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
+			uintptr(unsafe.Pointer(&b.recvHdrs[0])), uintptr(len(b.recvHdrs)), 0, 0, 0)
+		switch {
+		case errno == syscall.EAGAIN:
+			b.putSlab()
+			return false
+		case errno == syscall.EINTR:
+			continue
+		case errno != 0:
+			//ldlint:ignore noalloc error path that ends the Recv; an Errno is below 256, and the runtime boxes such values without allocating
+			b.recvErr = errno
 			return true
 		}
+		b.recvGot = int(r1)
+		return true
 	}
-	return b, nil
+}
+
+// takeSlab borrows a receive slab and points the iovecs at it.
+//
+//ldlint:noalloc
+func (b *UDPBatch) takeSlab() {
+	b.slab = b.slabs.get()
+	for i := range b.recvIovs {
+		b.recvIovs[i].Base = &b.slab[i*b.bufSize]
+	}
+}
+
+// putSlab hands the held slab, if any, back to the free list. The iovecs
+// drop their pointers into it, so a slab the full list turns away is
+// garbage at once rather than pinned by a parked socket.
+//
+//ldlint:noalloc
+func (b *UDPBatch) putSlab() {
+	if b.slab == nil {
+		return
+	}
+	for i := range b.recvIovs {
+		b.recvIovs[i].Base = nil
+	}
+	b.slabs.put(b.slab)
+	b.slab = nil
 }
 
 // Cap returns the per-call receive message capacity.
@@ -299,7 +410,10 @@ func (b *UDPBatch) Send(msgs [][]byte) (int, error) {
 
 // Recv drains up to Cap() coalesced buffers in one recvmmsg call,
 // blocking until at least one arrives. Buffer i is Msg(i) with GRO
-// segment size SegSize(i); buffers are valid until the next Recv.
+// segment size SegSize(i); buffers are valid until the next Recv. They
+// live in a slab Recv borrowed for this call (see NewUDPBatch): the next
+// Recv reuses it for its first attempt and hands it back if it has to
+// wait, and a Recv that fails hands it back too.
 //
 //ldlint:noalloc
 func (b *UDPBatch) Recv() (int, error) {
@@ -321,6 +435,7 @@ func (b *UDPBatch) Recv() (int, error) {
 		err = b.recvErr
 	}
 	if err != nil {
+		b.putSlab()
 		return 0, err
 	}
 	got := b.recvGot
@@ -338,7 +453,10 @@ func (b *UDPBatch) Recv() (int, error) {
 // Msg returns received buffer i from the last Recv. When SegSize(i) > 0
 // the buffer holds several datagrams of that size (the last possibly
 // shorter) coalesced by GRO.
-func (b *UDPBatch) Msg(i int) []byte { return b.bufs[i][:b.lens[i]] }
+func (b *UDPBatch) Msg(i int) []byte {
+	off := i * b.bufSize
+	return b.slab[off : off+b.lens[i] : off+b.bufSize]
+}
 
 // SegSize returns the GRO segment size of received buffer i, or 0 when
 // the buffer is a single plain datagram.

@@ -11,7 +11,10 @@ import (
 // Write/ReadFromUDP calls, so callers batch unconditionally and only the
 // syscall count differs between platforms. Recv reads one datagram per
 // call, so there is one receive buffer, length and peer address however
-// wide a batch the caller asked for.
+// wide a batch the caller asked for. Unlike the Linux receive slab, that
+// buffer is owned, not borrowed: Recv blocks inside conn.Read, which
+// offers no hook between readiness and the read to borrow it in, nor
+// one before the goroutine parks to hand it back.
 type UDPBatch struct {
 	conn  *net.UDPConn
 	buf   []byte

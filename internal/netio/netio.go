@@ -4,9 +4,11 @@
 // and well past it — per-datagram syscalls dominate the client's CPU
 // budget; batching turns a burst of due queries into one kernel crossing.
 //
-// A UDPBatch wraps one *net.UDPConn with preallocated message headers,
-// iovecs, and receive buffers, so steady-state Send/Recv perform no
-// allocation. The same type serves both ends of the pipeline: the replay
+// A UDPBatch wraps one *net.UDPConn with preallocated message headers
+// and iovecs, so steady-state Send/Recv perform no allocation. On Linux
+// its receive buffers are borrowed from a free list shared by every
+// batch with the same buffer geometry, for as long as a reader reads: a
+// socket whose reader is parked holds none. The same type serves both ends of the pipeline: the replay
 // client's connected sockets (Send/Recv) and the meta-DNS-server's
 // unconnected ones (Recv with peer addresses, Stage a reply against the
 // buffer it answers, SendStaged).

@@ -20,7 +20,6 @@
 package proxy
 
 import (
-	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -62,14 +61,6 @@ type Stats struct {
 	Dropped   int64
 }
 
-// ErrQueueFull reports a packet discarded because the reader-to-worker
-// queue was at capacity (the saturated-TUN condition).
-var ErrQueueFull = errors.New("proxy: worker queue full, packet dropped")
-
-// ErrNoPeer reports packets discarded because the proxy was attached with
-// an invalid peer address, so rewrites have nowhere to go.
-var ErrNoPeer = errors.New("proxy: invalid peer address, rewrite dropped")
-
 // Proxy captures matching egress packets on a node, rewrites them, and
 // re-injects them toward the peer. Close drains the worker pool.
 type Proxy struct {
@@ -84,13 +75,9 @@ type Proxy struct {
 	captured  atomic.Int64
 	forwarded atomic.Int64
 	dropped   atomic.Int64
-	lastErr   atomic.Pointer[dropError]
 
 	closeOnce sync.Once
 }
-
-// dropError records why the most recent packet was discarded.
-type dropError struct{ err error }
 
 // Options configures a Proxy.
 type Options struct {
@@ -157,15 +144,16 @@ func (p *Proxy) capture(d netsim.Datagram) bool {
 	select {
 	case p.queue <- d:
 	default:
-		p.drop(ErrQueueFull)
+		p.dropped.Add(1)
 	}
 	return true
 }
 
 // forward rewrites and re-injects one captured packet.
 func (p *Proxy) forward(d netsim.Datagram) {
+	// An invalid peer leaves a rewrite nowhere to go.
 	if !p.peer.IsValid() {
-		p.drop(ErrNoPeer)
+		p.dropped.Add(1)
 		return
 	}
 	p.network.Inject(Rewrite(d, p.peer))
@@ -179,13 +167,6 @@ func (p *Proxy) worker() {
 	}
 }
 
-// drop records a discarded packet and the reason, so operators can tell
-// "no traffic" from "all traffic dropped" (and why).
-func (p *Proxy) drop(err error) {
-	p.dropped.Add(1)
-	p.lastErr.Store(&dropError{err: err})
-}
-
 // Stats returns capture, forward, and drop counters.
 func (p *Proxy) Stats() Stats {
 	return Stats{
@@ -193,15 +174,6 @@ func (p *Proxy) Stats() Stats {
 		Forwarded: p.forwarded.Load(),
 		Dropped:   p.dropped.Load(),
 	}
-}
-
-// LastError returns the reason the most recent packet was dropped, or nil
-// if the proxy has never dropped one.
-func (p *Proxy) LastError() error {
-	if de := p.lastErr.Load(); de != nil {
-		return de.err
-	}
-	return nil
 }
 
 // Instrument registers the proxy's counters and queue-depth gauge with

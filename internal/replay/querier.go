@@ -20,6 +20,16 @@ import (
 // further into GSO super-datagrams on Linux); the reader drains up to
 // recvBatchCap buffers per recvmmsg, each sized to hold a maximally
 // GRO-coalesced response train (64 segments of up to ~1 KiB).
+//
+// Every emulated source keeps its socket open through the idle window,
+// so what a socket holds while nobody reads it is the per-source cost.
+// The recvBatchCap×recvBufSize = 256 KiB receive slab is not part of it:
+// on Linux a reader borrows the slab from netio's free list when its
+// socket turns readable and hands it back before it parks again, so the
+// slabs in use number the readers awake at once, not the sources. What
+// each source does own is its send headers (~14 KiB at sendBatchCap
+// 128), its parked reader's stack and its pending table; DESIGN.md has
+// the per-source budget.
 const (
 	sendBatchCap = 128
 	recvBatchCap = 4
@@ -240,14 +250,10 @@ func (q *querier) getUDP(src netip.Addr) (*udpSocket, error) {
 	if sock != nil {
 		return sock, nil
 	}
-	if q.en.cfg.UDPTarget == "" {
+	if q.en.udpAddr == nil {
 		return nil, noTargetErrs[trace.UDP]
 	}
-	raddr, err := net.ResolveUDPAddr("udp", q.en.cfg.UDPTarget)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.DialUDP("udp", nil, raddr)
+	conn, err := net.DialUDP("udp", nil, q.en.udpAddr)
 	if err != nil {
 		return nil, err
 	}

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"net"
 	"net/netip"
 	"strings"
 	"sync"
@@ -81,7 +82,8 @@ type Config struct {
 
 	// UDPTarget, TCPTarget, TLSTarget are the testbed server addresses
 	// ("host:port"). An entry's protocol selects among them. Empty targets
-	// reject entries of that protocol.
+	// reject entries of that protocol. New resolves UDPTarget once, so an
+	// unresolvable one fails there rather than once per source.
 	UDPTarget string
 	TCPTarget string
 	TLSTarget string
@@ -218,6 +220,8 @@ func (st *Stats) String() string {
 type Engine struct {
 	cfg   Config
 	clock vclock.Clock
+	// udpAddr is cfg.UDPTarget resolved; nil when it is empty.
+	udpAddr *net.UDPAddr
 
 	sent           atomic.Int64
 	responses      atomic.Int64
@@ -319,6 +323,13 @@ func New(cfg Config) (*Engine, error) {
 		return nil, errors.New("replay: TLS target without TLSConfig")
 	}
 	en := &Engine{cfg: cfg, clock: vclock.Or(cfg.Clock), seed: maphash.MakeSeed()}
+	if cfg.UDPTarget != "" {
+		addr, err := net.ResolveUDPAddr("udp", cfg.UDPTarget)
+		if err != nil {
+			return nil, fmt.Errorf("replay: UDP target: %w", err)
+		}
+		en.udpAddr = addr
+	}
 	en.wheel.overshoot.Store(&obs.Histogram{})
 	en.latency.Store(&obs.Histogram{})
 	return en, nil

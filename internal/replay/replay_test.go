@@ -326,6 +326,18 @@ func TestReplayNoTargetForProtocolCountsErrors(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnresolvableUDPTarget: the UDP target is resolved once,
+// in New, so a bad one fails there instead of as one OnError per source.
+// The targets fail without a name lookup: a missing and an out-of-range
+// port.
+func TestNewRejectsUnresolvableUDPTarget(t *testing.T) {
+	for _, target := range []string{"127.0.0.1", "127.0.0.1:70000"} {
+		if _, err := New(Config{UDPTarget: target}); err == nil {
+			t.Errorf("New accepted UDP target %q", target)
+		}
+	}
+}
+
 func TestReplayContextCancel(t *testing.T) {
 	_, cfg := testServer(t, false)
 	en, err := New(cfg)

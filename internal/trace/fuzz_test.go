@@ -192,3 +192,45 @@ func entriesFromFuzz(data []byte) []Entry {
 	}
 	return entries
 }
+
+// FuzzTextTrace feeds arbitrary bytes to the plain-text reader, the §2.5
+// format users edit by hand. Hostile input must error, never panic, and
+// every entry the reader returns must re-encode: TextWriter writes it,
+// and reading that line back yields the same entry — the text format is
+// a fixed point after one parse.
+func FuzzTextTrace(f *testing.F) {
+	for _, s := range []string{
+		"1461234567.012345 192.168.1.1:5353 198.41.0.4:53 udp 4711 rd example.com. IN A 4096 do\n",
+		"# comment\n\n1461234567.000001 [2001:db8::1]:5353 [2001:db8::53]:53 tcp 7 rd+cd+ad+tc www.example.com. IN AAAA - -\n",
+		"0.000000 10.0.0.1:1 10.0.0.2:53 tls 65535 - . CH TXT 512 -\n",
+		"-1.999999 10.0.0.1:1 10.0.0.2:53 udp 0 - a.b.c. IN TYPE65 0 do\n",
+		"1461234567.000001 192.168.1.1:5353 198.41.0.4:53 udp 7 rd example.com. IN A - do\n",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewTextReader(bytes.NewReader(data))
+		for {
+			e, err := r.Next()
+			if err != nil {
+				return
+			}
+			var buf bytes.Buffer
+			w := NewTextWriter(&buf)
+			if err := w.Write(e); err != nil {
+				t.Fatalf("entry read from text does not re-encode: %v", err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			back, err := NewTextReader(&buf).Next()
+			if err != nil {
+				t.Fatalf("re-encoded line %q does not parse: %v", buf.String(), err)
+			}
+			if !back.Time.Equal(e.Time) || back.Src != e.Src || back.Dst != e.Dst ||
+				back.Protocol != e.Protocol || !bytes.Equal(back.Message, e.Message) {
+				t.Fatalf("re-encoded line %q reads back as %+v, want %+v", buf.String(), back, e)
+			}
+		}
+	})
+}
