@@ -1,9 +1,9 @@
 # Development targets for the LDplayer reproduction. `make check` is the
-# gate every change must pass: vet, build, the full test suite (which
-# holds the repo's static analyzers as TestRepoLintClean — `make lint`
-# is the same check from the command line — and the end-to-end smoke of
-# every `make bench-e2e` workload, TestSmokeEveryWorkload in
-# internal/benchkit), a short-form run of the engine hot-path benchmarks
+# gate every change must pass: gofmt-clean sources, vet, build, the full
+# test suite (which holds the repo's static analyzers as
+# TestRepoLintClean — `make lint` is the same check from the command
+# line — and the end-to-end smoke of every `make bench-e2e` workload,
+# TestSmokeEveryWorkload in internal/benchkit), a short-form run of the engine hot-path benchmarks
 # (which also executes their allocation sanity assertions), the
 # observability, telemetry and virtual-time smokes, and a short fuzz
 # budget over the decoders of untrusted bytes (DNS wire, block frame,
@@ -15,9 +15,13 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race flake fallback bench-smoke bench-e2e bench-ledger bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
+.PHONY: check fmt vet lint build test race flake fallback bench-smoke bench-e2e bench-ledger bench obs-smoke qlog-smoke sim-smoke fuzz-smoke
 
-check: vet build test bench-smoke obs-smoke qlog-smoke sim-smoke fuzz-smoke
+check: fmt vet build test bench-smoke obs-smoke qlog-smoke sim-smoke fuzz-smoke
+
+# Every Go file as gofmt writes it; `gofmt -l .` names the ones that are not.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -54,11 +58,13 @@ flake:
 # exercise the cached, miss, and many-zone routes without benchmarking
 # noise dominating CI time. The EngineRespond benchmarks repeat one
 # question, so all but EngineRespondManyZones (cache off) measure cache
-# hits; ShardRespondMiss (a new name every iteration, inserted into a
-# full cache) and LookupNXDomainDNSSEC are the miss path. Pipeline is the
-# qlog ring→collector→sink rate (events/s); drop -benchtime for numbers.
+# hits; ShardRespondHit is the hit path as a serve loop runs it (a held
+# shard, ~1.1 k questions round-robin); ShardRespondMiss (a new name
+# every iteration, inserted into a full cache) and LookupNXDomainDNSSEC
+# are the miss path. Pipeline is the qlog ring→collector→sink rate
+# (events/s); drop -benchtime for numbers.
 bench-smoke:
-	$(GO) test -run XXX -bench='EngineRespond|ShardRespondMiss' -benchtime=100x ./internal/authserver/
+	$(GO) test -run XXX -bench='EngineRespond|ShardRespond' -benchtime=100x ./internal/authserver/
 	$(GO) test -run XXX -bench='LookupNXDomainDNSSEC' -benchtime=100x ./internal/zone/
 	$(GO) test -run XXX -bench='Pipeline' -benchtime=100x ./internal/qlog/
 

@@ -111,10 +111,12 @@ func missQuery(t testing.TB, name string, qtype dnswire.Type, do int) []byte {
 }
 
 // TestShardRespondMissAllocs pins the cache-miss path — unpack, zone
-// lookup, pack — at the one allocation it is left with, the decoded
-// qname string, for each outcome B-Root replay is made of. The response
-// cache is off, so every call takes the path; the guards above and the
-// EngineRespond benchmarks repeat one question and only ever see hits.
+// lookup, pack — at no allocation for each outcome B-Root replay is made
+// of: the decoded qname goes into the scratch message's name chunk,
+// whose refills (one per ~4 KiB of names) AllocsPerRun's per-run floor
+// amortizes away. The response cache is off, so every call takes the
+// path; the guards above and the EngineRespond benchmarks repeat one
+// question and only ever see hits.
 func TestShardRespondMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; alloc counts are meaningless")
@@ -147,8 +149,8 @@ func TestShardRespondMissAllocs(t *testing.T) {
 			if len(out) < 12 || dnswire.Rcode(out[3]&0xF) != c.rcode {
 				t.Errorf("%s do=%d: response %x, want rcode %v", c.outcome, do, out, c.rcode)
 			}
-			if allocs > 1 {
-				t.Errorf("%s do=%d: miss-path allocs/query = %.2f, want ≤ 1 (the qname)", c.outcome, do, allocs)
+			if allocs > 0 {
+				t.Errorf("%s do=%d: miss-path allocs/query = %.2f, want 0", c.outcome, do, allocs)
 			}
 		}
 	}
@@ -174,9 +176,9 @@ func (j junkQuery) set(i int) []byte {
 	return j.wire
 }
 
-// TestShardRespondMissInsertAllocs pins a miss with the cache on: the
-// miss path's qname plus the insert's one string (key and image
-// together), plus the map's own growth amortized over the inserts.
+// TestShardRespondMissInsertAllocs pins a miss with the cache on and
+// filling: the ring's doublings, the index map's growth and the name
+// chunk's refills, amortized over the inserts, are all it allocates.
 func TestShardRespondMissInsertAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; alloc counts are meaningless")
@@ -192,11 +194,47 @@ func TestShardRespondMissInsertAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("miss+insert allocs/query = %.2f, want ≤ 3", allocs)
+	if allocs > 0 {
+		t.Errorf("miss+insert allocs/query = %.2f, want 0", allocs)
 	}
 	if cs := e.CacheStats(); cs.Hits != 0 || cs.Entries != int64(i) {
 		t.Errorf("after %d distinct questions: cache stats = %+v", i, cs)
+	}
+}
+
+// TestShardRespondMissEvictAllocs pins the steady state of a B-Root
+// replay: a full cache, and every miss inserts one response over the
+// oldest. That allocates nothing — the ring is not resized and the
+// index does not grow — and keeps the cache at its cap, one eviction
+// per insert.
+func TestShardRespondMissEvictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; alloc counts are meaningless")
+	}
+	e := hierarchyEngine(t)
+	sh := e.NewShard()
+	slab := make([]byte, 0, 4096)
+	junk := newJunkQuery(t)
+	i := 0
+	for ; i < DefaultResponseCacheCap; i++ {
+		if _, err := sh.AppendRespond(slab[:0], junk.set(i), rootNSAddr, UDP); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5000, func() {
+		i++
+		if _, err := sh.AppendRespond(slab[:0], junk.set(i), rootNSAddr, UDP); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("miss+evict allocs/query = %.2f, want 0", allocs)
+	}
+	cs := e.CacheStats()
+	if inserts := int64(i); cs.Hits != 0 || cs.Misses != inserts ||
+		cs.Entries != DefaultResponseCacheCap || cs.Evictions != inserts-DefaultResponseCacheCap {
+		t.Errorf("after %d distinct questions: cache stats = %+v, want %d entries and %d evictions",
+			i, cs, DefaultResponseCacheCap, inserts-DefaultResponseCacheCap)
 	}
 }
 

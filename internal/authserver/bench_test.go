@@ -203,3 +203,33 @@ func BenchmarkShardRespondMiss(b *testing.B) {
 		b.Fatalf("cache hits = %d on a stream of distinct questions", cs.Hits)
 	}
 }
+
+// BenchmarkShardRespondHit is the cache-hit path as a serve loop runs it:
+// one shard held for the whole run (no Engine.Respond borrow), a reused
+// output slab, and about 1.1 k distinct questions asked round-robin — a
+// working set well inside the cache but wider than one question, so the
+// index and ring are read across more than a few cache lines.
+func BenchmarkShardRespondHit(b *testing.B) {
+	e := hierarchyEngine(b)
+	sh := e.NewShard()
+	slab := make([]byte, 0, 4096)
+	const questions = 1100
+	queries := make([][]byte, questions)
+	for i := range queries {
+		queries[i] = append([]byte(nil), newJunkQuery(b).set(i)...)
+		if _, err := sh.AppendRespond(slab[:0], queries[i], rootNSAddr, UDP); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sh.AppendRespond(slab[:0], queries[i%questions], rootNSAddr, UDP); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if cs := e.CacheStats(); cs.Misses != questions || cs.Hits < int64(b.N) {
+		b.Fatalf("cache stats = %+v, want %d misses and every timed query a hit", cs, questions)
+	}
+}

@@ -3,6 +3,7 @@ package authserver
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"sync"
@@ -320,5 +321,116 @@ func TestNonUTF8QnameEchoed(t *testing.T) {
 	}
 	if cs := e.CacheStats(); cs.Hits != 1 || cs.Misses != 1 {
 		t.Errorf("cache stats = %+v, want 1 miss then 1 hit", cs)
+	}
+}
+
+// TestRespCacheCollisionIsMiss forces every key onto one index hash. A
+// lookup must compare the key bytes and miss rather than answer with the
+// other question's record, and evicting an older record whose slot a
+// newer one took over must leave the newer one findable.
+func TestRespCacheCollisionIsMiss(t *testing.T) {
+	c := newRespCache()
+	c.hashMask = 0
+	a, b := []byte("key-a"), []byte("key-b")
+	respA, respB := bytes.Repeat([]byte{0xA}, 20), bytes.Repeat([]byte{0xB}, 20)
+	c.put(c.hash(a), a, respA, respMeta{}, 8)
+	if _, ok := c.get(c.hash(b), b); ok {
+		t.Fatal("b hit a's record: the index hash collides and the key was not compared")
+	}
+	c.put(c.hash(b), b, respB, respMeta{rcode: dnswire.RcodeNXDomain}, 8)
+	if _, ok := c.get(c.hash(a), a); ok {
+		t.Fatal("a hit b's record")
+	}
+	c.evict() // a, the older record, which the index no longer names
+	ent, ok := c.get(c.hash(b), b)
+	if !ok || ent.rcode != dnswire.RcodeNXDomain || !bytes.Equal(ent.wire[2:], respB[2:]) || ent.wire[0]|ent.wire[1] != 0 {
+		t.Fatalf("after evicting a: b = %+v, %v; want its own record with a zeroed ID", ent, ok)
+	}
+	c.evict()
+	if _, ok := c.get(c.hash(b), b); ok || c.n != 0 || len(c.index) != 0 {
+		t.Fatalf("empty cache: b found %v, %d records, %d index slots", ok, c.n, len(c.index))
+	}
+}
+
+// TestRespCacheWrapBoundary fills the starting ring exactly with four
+// 256-byte records, so the fifth wraps to offset 0 over the evicted
+// first, and a 257-byte sixth must evict two more records, not write
+// one byte into the third.
+func TestRespCacheWrapBoundary(t *testing.T) {
+	c := newRespCache()
+	key := func(i int) []byte { return []byte{'k', byte('0' + i)} }
+	resp := func(n int) []byte { return make([]byte, n-recHdr-2) }
+	for i := 1; i <= 5; i++ {
+		c.put(c.hash(key(i)), key(i), resp(256), respMeta{}, 4)
+	}
+	if len(c.ring) != ringMinBytes || !c.wrapped || c.head != 256 || c.tail != 256 || c.n != 4 {
+		t.Fatalf("after five 256-byte records: ring %d, wrapped %v, head %d, tail %d, %d records", len(c.ring), c.wrapped, c.head, c.tail, c.n)
+	}
+	if ev := c.put(c.hash(key(6)), key(6), resp(257), respMeta{}, 4); ev != 2 {
+		t.Errorf("257-byte record into a 256-byte gap evicted %d records, want 2", ev)
+	}
+	for i := 1; i <= 6; i++ {
+		_, ok := c.get(c.hash(key(i)), key(i))
+		if want := i == 4 || i == 5 || i == 6; ok != want {
+			t.Errorf("record %d found %v, want %v", i, ok, want)
+		}
+	}
+}
+
+// TestRespCacheFIFOModel drives one cache with random record sizes (up to
+// many times the ring's starting size), caps and hash masks (narrow
+// masks force collisions), and checks after every insert against a
+// model: the cache holds the most recent inserts, as many as it counts,
+// among those a key is found, with its own bytes and metadata, iff no
+// newer one shares its hash, and the index has one slot per live hash.
+func TestRespCacheFIFOModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 40; trial++ {
+		c := newRespCache()
+		if trial%2 == 1 {
+			c.hashMask = uint64(rng.IntN(8))
+		}
+		capacity := 1 + rng.IntN(40)
+		type rec struct {
+			key, resp []byte
+			meta      respMeta
+		}
+		var inserted []rec
+		for i := 0; i < 300; i++ {
+			key := []byte(fmt.Sprintf("t%d-k%d", trial, i))
+			resp := make([]byte, 12+rng.IntN(3000))
+			for j := range resp {
+				resp[j] = byte(rng.Uint32())
+			}
+			meta := respMeta{truncated: rng.IntN(2) == 0, refused: rng.IntN(2) == 0, rcode: dnswire.Rcode(rng.IntN(16))}
+			if _, ok := c.get(c.hash(key), key); ok {
+				t.Fatalf("trial %d: key %q found before it was inserted", trial, key)
+			}
+			c.put(c.hash(key), key, resp, meta, capacity)
+			inserted = append(inserted, rec{key, resp, meta})
+			if c.n < 1 || c.n > capacity || c.n > len(inserted) {
+				t.Fatalf("trial %d insert %d: %d records, cap %d", trial, i, c.n, capacity)
+			}
+			live := inserted[len(inserted)-c.n:]
+			newest := map[uint64]int{}
+			for j, r := range live {
+				newest[c.hash(r.key)] = j
+			}
+			if len(c.index) != len(newest) {
+				t.Fatalf("trial %d insert %d: %d index slots for %d distinct live hashes", trial, i, len(c.index), len(newest))
+			}
+			for j, r := range inserted {
+				ent, ok := c.get(c.hash(r.key), r.key)
+				k := j - (len(inserted) - c.n)
+				want := k >= 0 && newest[c.hash(r.key)] == k
+				if ok != want {
+					t.Fatalf("trial %d insert %d: key %d found=%v, want %v (%d records, cap %d)", trial, i, j, ok, want, c.n, capacity)
+				}
+				if ok && (!bytes.Equal(ent.wire[2:], r.resp[2:]) || ent.wire[0]|ent.wire[1] != 0 ||
+					ent.truncated != r.meta.truncated || ent.refused != r.meta.refused || ent.rcode != r.meta.rcode) {
+					t.Fatalf("trial %d insert %d: key %d came back with another record's bytes or metadata", trial, i, j)
+				}
+			}
+		}
 	}
 }

@@ -25,9 +25,10 @@
 // questions are answered by patching two ID bytes and the echoed question
 // into a copy of the cached wire image. A question the cache has not
 // seen takes the miss path — unpack, zone lookup over the zone's compiled
-// index, pack, cache insert — which allocates the decoded qname and the
-// cache's copy of the response, and more only for wildcard and CNAME
-// answers.
+// index, pack, cache insert — which at steady state allocates only for
+// wildcard and CNAME answers: the decoded qname goes into the scratch
+// message's write-once name chunk, and the insert overwrites the oldest
+// record in the shard's byte ring (cache.go).
 package authserver
 
 import (
@@ -451,12 +452,14 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // scratch bundles a shard's reusable per-query state: unpack/response
-// messages, the pack buffer, the cache key, and the echoed OPT.
+// messages, the pack buffer, the cache key and its hash, and the echoed
+// OPT.
 type scratch struct {
 	q        dnswire.Message
 	resp     dnswire.Message
 	edns     dnswire.EDNS
 	key      []byte
+	keyHash  uint64
 	buf      []byte
 	qnameLen int
 }

@@ -11,21 +11,21 @@ import (
 
 // EngineShard is the one place a query is answered, and one goroutine's
 // private slice of the engine while it does so: a packed-response cache
-// (a plain map, no mutex — the goroutine holding the shard is its only
-// reader and writer), a private coreStats counter set, and a private
-// scratch. Each UDP serve loop owns a shard for its lifetime (the batched
-// datapath pairs one with each SO_REUSEPORT worker socket); every other
-// caller borrows one per query through Engine.Respond. Either way the
-// receive→respond→send hot path touches no cross-shard mutable state: no
-// cache lock, no contended counter cache lines, no sync.Pool traffic.
-// Shared *read-only* state (the routing snapshot, the cache capacity, the
-// obs sampling state) is still loaded atomically from the engine, which
-// costs nothing under contention-free reads.
+// (a byte ring and its index, no mutex — the goroutine holding the shard
+// is its only reader and writer), a private coreStats counter set, and a
+// private scratch. Each UDP serve loop owns a shard for its lifetime
+// (the batched datapath pairs one with each SO_REUSEPORT worker socket);
+// every other caller borrows one per query through Engine.Respond. Either
+// way the receive→respond→send hot path touches no cross-shard mutable
+// state: no cache lock, no contended counter cache lines, no sync.Pool
+// traffic. Shared *read-only* state (the routing snapshot, the cache
+// capacity, the obs sampling state) is still loaded atomically from the
+// engine, which costs nothing under contention-free reads.
 //
 // Concurrency contract: BeginBatch, AppendRespond and EndBatch must be
 // called from one goroutine at a time — the worker that owns the shard,
 // or the borrower Engine.Respond's free-list lock handed it to. Stats
-// readers only touch the shard's atomic counters, never the cache map, so
+// readers only touch the shard's atomic counters, never the cache, so
 // Engine.Stats and obs scrapes stay race-free while the shard serves.
 // The race-detector suite (`make race`) is the check on that contract:
 // each way a shard can leak to a second goroutine (channel sends,
@@ -41,14 +41,14 @@ type EngineShard struct {
 	// cache is the packed-response cache, confined to the goroutine that
 	// holds the shard. Keys carry the view id, so views never share an
 	// entry.
-	cache map[string]cacheEntry
-	// gen is the cache-generation snapshot; BeginBatch clears the map when
+	cache respCache
+	// gen is the cache-generation snapshot; BeginBatch clears the cache when
 	// the engine has bumped cacheGen (cap change / disablement). Atomic
 	// only so CacheStats can tell a cache that is about to be cleared.
 	gen atomic.Uint64
 
-	// cacheEntries/cacheEvictions mirror the map's size and eviction
-	// count for CacheStats readers, which must not touch the map itself.
+	// cacheEntries/cacheEvictions mirror the cache's size and eviction
+	// count for CacheStats readers, which must not touch the cache itself.
 	cacheEntries   atomic.Int64
 	cacheEvictions atomic.Int64
 
@@ -75,7 +75,7 @@ type EngineShard struct {
 func (e *Engine) NewShard() *EngineShard {
 	sh := &EngineShard{
 		e:     e,
-		cache: make(map[string]cacheEntry),
+		cache: newRespCache(),
 	}
 	sh.gen.Store(e.cacheGen.Load())
 	sh.sc.key = make([]byte, 0, 280)
@@ -145,7 +145,8 @@ func (sh *EngineShard) AppendRespond(dst, query []byte, src netip.Addr, transpor
 			qlen = qnameLen
 			sc.qnameLen = qnameLen
 			setSpanQName(sp, query[12:12+qnameLen])
-			if ent, ok := sh.cache[string(sc.key)]; ok {
+			sc.keyHash = sh.cache.hash(sc.key)
+			if ent, ok := sh.cache.get(sc.keyHash, sc.key); ok {
 				st.cacheHits.Add(1)
 				dst = appendCached(st, dst, ent, query, qnameLen)
 				if sp != nil {
@@ -192,7 +193,7 @@ func (sh *EngineShard) AppendRespond(dst, query []byte, src netip.Addr, transpor
 func (sh *EngineShard) BeginBatch() {
 	if g := sh.e.cacheGen.Load(); g != sh.gen.Load() {
 		sh.gen.Store(g)
-		clear(sh.cache)
+		sh.cache.reset()
 		sh.cacheEntries.Store(0)
 	}
 	if p := sh.e.qlogPipe.Load(); p != sh.qlogPipe {
@@ -227,10 +228,10 @@ func (sh *EngineShard) flushViewCount() {
 // key. The stored image gets a zeroed ID (hits always overwrite it) but
 // is otherwise byte-identical to what the slow path returned.
 func (sh *EngineShard) cachePut(resp []byte, meta respMeta, capacity int) {
-	if capacity <= 0 || len(resp) < 12+sh.sc.qnameLen+4 {
+	sc := &sh.sc
+	if capacity <= 0 || len(resp) < 12+sc.qnameLen+4 {
 		return
 	}
-	key, ent := newCacheEntry(&sh.sc, resp, meta)
-	sh.cacheEvictions.Add(cacheInsert(sh.cache, key, ent, capacity))
-	sh.cacheEntries.Store(int64(len(sh.cache)))
+	sh.cacheEvictions.Add(sh.cache.put(sc.keyHash, sc.key, resp, meta, capacity))
+	sh.cacheEntries.Store(int64(sh.cache.n))
 }

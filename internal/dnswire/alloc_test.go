@@ -44,9 +44,10 @@ func TestUnpackReuseAllocs(t *testing.T) {
 }
 
 // TestUnpackQueryReuseAllocs pins what a server pays to decode a query
-// into a reused Message: the qname string and nothing else — not for the
-// OPT record (decoded into storage the Message owns), not for its
-// options, not for the root name.
+// into a reused Message: nothing — not for the qname (copied into the
+// Message's name chunk, whose refills AllocsPerRun's per-run floor
+// amortizes away), not for the OPT record (decoded into storage the
+// Message owns), not for its options, not for the root name.
 func TestUnpackQueryReuseAllocs(t *testing.T) {
 	q := NewQuery(1, "www.example.com.", TypeA)
 	q.Edns = &EDNS{UDPSize: 4096, DO: true, Options: []EDNSOption{{Code: 10, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}}}
@@ -59,20 +60,17 @@ func TestUnpackQueryReuseAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m Message
-	for _, c := range []struct {
-		wire []byte
-		want float64
-	}{{wire, 1}, {root, 0}} {
-		if err := m.Unpack(c.wire); err != nil { // size the section slices
+	for _, w := range [][]byte{wire, root} {
+		if err := m.Unpack(w); err != nil { // size the section slices
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(1000, func() {
-			if err := m.Unpack(c.wire); err != nil {
+			if err := m.Unpack(w); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > c.want {
-			t.Errorf("Unpack of %q into a reused Message allocs/op = %.2f, want ≤ %v", m.Question[0].Name, allocs, c.want)
+		if allocs > 0 {
+			t.Errorf("Unpack of %q into a reused Message allocs/op = %.2f, want 0", m.Question[0].Name, allocs)
 		}
 	}
 }

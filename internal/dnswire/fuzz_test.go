@@ -3,6 +3,7 @@ package dnswire
 import (
 	"bytes"
 	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -74,12 +75,17 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // FuzzMessageUnpack asserts the decoder never panics and never produces
 // out-of-bounds structures on hostile input: compression pointers are
 // bounded, names stay within the 255-octet wire limit, and section
-// slices cannot be inflated beyond what the payload can carry.
+// slices cannot be inflated beyond what the payload can carry. It also
+// holds Unpack to the name-chunk contract: the names decoded from data
+// are unchanged after the same Message unpacks b, and the names a
+// by-value copy of it then decodes from c are unchanged after the
+// original unpacks data again.
 func FuzzMessageUnpack(f *testing.F) {
-	for _, s := range fuzzSeeds(f) {
-		f.Add(s)
+	seeds := fuzzSeeds(f)
+	for i, s := range seeds {
+		f.Add(s, seeds[(i+1)%len(seeds)], seeds[(i+2)%len(seeds)])
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, b, c []byte) {
 		var m Message
 		if err := m.Unpack(data); err != nil {
 			return
@@ -89,23 +95,47 @@ func FuzzMessageUnpack(f *testing.F) {
 			t.Fatalf("sections larger than payload: %d/%d/%d/%d from %d bytes",
 				len(m.Question), len(m.Answer), len(m.Authority), len(m.Additional), len(data))
 		}
-		names := make([]string, 0, 8)
-		for _, q := range m.Question {
-			names = append(names, q.Name)
-		}
-		for _, sec := range [][]RR{m.Answer, m.Authority, m.Additional} {
-			for _, rr := range sec {
-				names = append(names, rr.Name)
-			}
-		}
-		for _, name := range names {
+		kept, clones := keepNames(&m)
+		for _, name := range kept {
 			// Octets pass through decoding unchanged, so the presentation
 			// form is bounded by the 255-octet wire form.
 			if len(name) > maxNameWire {
 				t.Fatalf("decoded name of %d bytes exceeds wire-format bound", len(name))
 			}
 		}
+		_ = m.Unpack(b)
+		cp := m
+		_ = cp.Unpack(c)
+		cpKept, cpClones := keepNames(&cp)
+		_ = m.Unpack(data)
+		for i := range kept {
+			if kept[i] != clones[i] {
+				t.Fatalf("name %d decoded from data changed from %q to %q", i, clones[i], kept[i])
+			}
+		}
+		for i := range cpKept {
+			if cpKept[i] != cpClones[i] {
+				t.Fatalf("name %d a copy decoded from c changed from %q to %q", i, cpClones[i], cpKept[i])
+			}
+		}
 	})
+}
+
+// keepNames returns m's question and owner names as Unpack handed them
+// out, and a private copy of each.
+func keepNames(m *Message) (kept, clones []string) {
+	for _, q := range m.Question {
+		kept = append(kept, q.Name)
+	}
+	for _, sec := range [][]RR{m.Answer, m.Authority, m.Additional} {
+		for _, rr := range sec {
+			kept = append(kept, rr.Name)
+		}
+	}
+	for _, name := range kept {
+		clones = append(clones, strings.Clone(name))
+	}
+	return kept, clones
 }
 
 // FuzzPackUnpackRoundTrip asserts the decode→encode composition reaches a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Header is the fixed 12-octet DNS message header, with the flag word
@@ -116,9 +117,26 @@ type Message struct {
 	// its option payloads are slices of optData.
 	edns    EDNS
 	optData []byte
+
+	// names is the chunk Unpack copies decoded question and owner names
+	// into, each handed out as a string over its bytes; namesOwner is the
+	// Message that started it. Only that Message appends, and only past
+	// every name already handed out: Reset never rewinds the chunk and a
+	// full one is replaced, not reused, so no chunk byte is written twice
+	// and a name a caller keeps never changes (it also keeps its whole
+	// chunk reachable: clone the few names kept out of many decodes). A
+	// by-value copy sees another owner and starts a chunk of its own.
+	names      []byte
+	namesOwner *Message
 }
 
-// Reset clears m for reuse, retaining section slice capacity.
+// maxNameChunk bounds a name chunk: a Message's first is sized from the
+// message it decodes, each refill doubles the last up to this, so a
+// reused Message allocates about once per hundred names.
+const maxNameChunk = 4096
+
+// Reset clears m for reuse, retaining section slice capacity. Names an
+// earlier Unpack returned stay valid: their bytes are never reused.
 func (m *Message) Reset() {
 	m.Header = Header{}
 	m.Question = m.Question[:0]
@@ -221,9 +239,12 @@ func appendRR(buf []byte, rr RR, cmp compressionMap, msgStart int) ([]byte, erro
 }
 
 // Unpack parses msg into m, replacing its contents. Sections are appended
-// into m's existing slices where capacity allows and an OPT record is
-// decoded into storage m owns, so unpacking a query into a reused Message
-// allocates one string per name and nothing else.
+// into m's existing slices where capacity allows, an OPT record is
+// decoded into storage m owns, and question and owner names are copied
+// into m's write-once name chunk, so unpacking a query into a reused
+// Message allocates nothing at steady state: a fresh chunk now and then,
+// and only record data (rdata names included) allocates per record. The
+// caller may keep every name; later Unpacks never overwrite one.
 //
 //ldlint:noalloc
 func (m *Message) Unpack(msg []byte) error {
@@ -251,7 +272,7 @@ func (m *Message) Unpack(msg []byte) error {
 	for i := 0; i < qd; i++ {
 		var q Question
 		var name string
-		if name, off, err = unpackName(msg, off); err != nil {
+		if name, off, err = m.unpackName(msg, off); err != nil {
 			return err
 		}
 		if off+4 > len(msg) {
@@ -290,7 +311,7 @@ func (m *Message) Unpack(msg []byte) error {
 //
 //ldlint:noalloc
 func (m *Message) unpackRR(msg []byte, off int) (RR, int, error) {
-	name, off, err := unpackName(msg, off)
+	name, off, err := m.unpackName(msg, off)
 	if err != nil {
 		return RR{}, 0, err
 	}
@@ -314,6 +335,39 @@ func (m *Message) unpackRR(msg []byte, off int) (RR, int, error) {
 		return RR{}, 0, err
 	}
 	return RR{Name: name, Class: class, TTL: ttl, Data: data}, off + rdlen, nil
+}
+
+// unpackName decodes the name at msg[off:] into m's name chunk; see
+// the free unpackName for the result.
+//
+//ldlint:noalloc
+func (m *Message) unpackName(msg []byte, off int) (string, int, error) {
+	var buf [maxNameWire]byte
+	n, next, err := decodeName(msg, off, &buf)
+	switch {
+	case err != nil:
+		return "", 0, err
+	case n == 0:
+		return ".", next, nil
+	}
+	if m.namesOwner != m || cap(m.names)-len(m.names) < n {
+		//ldlint:ignore noallocprop amortized: a fresh chunk per ~4 KiB of decoded names once a reused Message has warmed up
+		m.newNameChunk(n, len(msg))
+	}
+	start := len(m.names)
+	m.names = append(m.names, buf[:n]...) // within capacity: never moves
+	return unsafe.String(&m.names[start], n), next, nil
+}
+
+// newNameChunk gives m a fresh name chunk with room for at least need
+// bytes, leaving the old one to the names already handed out of it.
+func (m *Message) newNameChunk(need, msgLen int) {
+	size := msgLen
+	if m.namesOwner == m {
+		size = 2 * cap(m.names)
+	}
+	m.names = make([]byte, 0, max(min(size, maxNameChunk), need))
+	m.namesOwner = m
 }
 
 // PackedLen returns the wire size of m, or an error if it cannot encode.

@@ -208,19 +208,36 @@ func appendName(buf []byte, name string, cmp compressionMap, msgStart int) ([]by
 // unpackName decodes a possibly compressed name from msg starting at off.
 // It returns the canonical presentation form and the offset just past the
 // name's in-place encoding (i.e. past the first pointer if one occurred).
-// Labels are lowercased into a stack buffer, so the decoded string is the
-// only allocation, and the root costs none.
+// The decoded string is the only allocation, and the root costs none.
+// Record data decodes its names here; Message.Unpack decodes owner and
+// question names into the Message's name chunk instead.
 func unpackName(msg []byte, off int) (string, int, error) {
-	// A name's presentation form is one octet shorter than its wire form.
 	var buf [maxNameWire]byte
-	n := 0
+	n, next, err := decodeName(msg, off, &buf)
+	switch {
+	case err != nil:
+		return "", 0, err
+	case n == 0:
+		return ".", next, nil
+	}
+	return string(buf[:n]), next, nil
+}
+
+// decodeName lowercases the possibly compressed name at msg[off:] into
+// buf in presentation form (without the root's lone dot: n is 0 for the
+// root) and returns its length and the offset just past the name's
+// in-place encoding. A name's presentation form is one octet shorter
+// than its wire form, so buf always has room.
+//
+//ldlint:noalloc
+func decodeName(msg []byte, off int, buf *[maxNameWire]byte) (n, next int, err error) {
 	ptrBudget := maxPointers
 	// next is the offset to resume at after the name; set when the first
 	// pointer is followed.
-	next := -1
+	next = -1
 	for {
 		if off >= len(msg) {
-			return "", 0, ErrTruncatedName
+			return 0, 0, ErrTruncatedName
 		}
 		b := int(msg[off])
 		switch {
@@ -228,14 +245,10 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			if next == -1 {
 				next = off + 1
 			}
-			if n == 0 {
-				return ".", next, nil
-			}
-			//ldlint:ignore noallocprop the decoded name is the caller's to keep: one string per name, none for the root
-			return string(buf[:n]), next, nil
+			return n, next, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
-				return "", 0, ErrTruncatedName
+				return 0, 0, ErrTruncatedName
 			}
 			ptr := (b&0x3F)<<8 | int(msg[off+1])
 			if next == -1 {
@@ -243,21 +256,21 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			}
 			if ptr >= off {
 				// Forward (or self) pointers are illegal and would loop.
-				return "", 0, ErrBadPointer
+				return 0, 0, ErrBadPointer
 			}
 			ptrBudget--
 			if ptrBudget <= 0 {
-				return "", 0, ErrPointerLoop
+				return 0, 0, ErrPointerLoop
 			}
 			off = ptr
 		case b&0xC0 != 0:
-			return "", 0, errReservedLabel
+			return 0, 0, errReservedLabel
 		default:
 			if off+1+b > len(msg) {
-				return "", 0, ErrTruncatedName
+				return 0, 0, ErrTruncatedName
 			}
 			if n+b+1 > maxNameWire {
-				return "", 0, ErrNameTooLong
+				return 0, 0, ErrNameTooLong
 			}
 			for _, c := range msg[off+1 : off+1+b] {
 				if 'A' <= c && c <= 'Z' {

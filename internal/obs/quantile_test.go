@@ -23,12 +23,12 @@ func TestHistogramQuantileVsExact(t *testing.T) {
 		sigma float64 // log-stddev
 		scale float64 // multiplier into "nanoseconds"
 	}{
-		{seed: 1, n: 5000, mu: 0, sigma: 0.5, scale: 1e6},   // ~1ms latencies
-		{seed: 2, n: 5000, mu: 0, sigma: 1.0, scale: 1e6},   // heavier tail
-		{seed: 3, n: 2000, mu: 1, sigma: 0.25, scale: 1e3},  // tight µs-scale
-		{seed: 4, n: 10000, mu: 0, sigma: 2.0, scale: 1e4},  // very heavy tail
-		{seed: 5, n: 777, mu: 2, sigma: 0.75, scale: 1e8},   // 100ms–seconds
-		{seed: 6, n: 3000, mu: 0, sigma: 0.1, scale: 1e2},   // near-constant
+		{seed: 1, n: 5000, mu: 0, sigma: 0.5, scale: 1e6},  // ~1ms latencies
+		{seed: 2, n: 5000, mu: 0, sigma: 1.0, scale: 1e6},  // heavier tail
+		{seed: 3, n: 2000, mu: 1, sigma: 0.25, scale: 1e3}, // tight µs-scale
+		{seed: 4, n: 10000, mu: 0, sigma: 2.0, scale: 1e4}, // very heavy tail
+		{seed: 5, n: 777, mu: 2, sigma: 0.75, scale: 1e8},  // 100ms–seconds
+		{seed: 6, n: 3000, mu: 0, sigma: 0.1, scale: 1e2},  // near-constant
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(tc.seed))
